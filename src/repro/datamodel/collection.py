@@ -155,7 +155,9 @@ class CleanCleanTask:
         raise KeyError(identifier)
 
     def get(self, identifier: str) -> Optional[EntityDescription]:
-        return self.left.get(identifier) or self.right.get(identifier)
+        # not ``or``: a description without attributes is falsy (``len == 0``)
+        description = self.left.get(identifier)
+        return description if description is not None else self.right.get(identifier)
 
     def is_valid_pair(self, first: str, second: str) -> bool:
         """A comparison is valid only across the two collections."""

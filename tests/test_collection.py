@@ -82,6 +82,12 @@ class TestCleanCleanTask:
         assert not task.is_valid_pair("a:0", "a:1")
         assert not task.is_valid_pair("b:0", "b:1")
 
+    def test_get_finds_left_descriptions_without_attributes(self):
+        blank = EntityDescription("a:blank", {})
+        task = CleanCleanTask(EntityCollection([blank]), make_collection("b", 1))
+        assert task.get("a:blank") is blank
+        assert task.get("c:0") is None
+
     def test_total_comparisons_is_product(self):
         task = CleanCleanTask(make_collection("a", 3), make_collection("b", 5))
         assert task.total_comparisons() == 15
