@@ -39,8 +39,7 @@ pattern of :mod:`repro.metablocking` and :mod:`repro.matching`:
   assignment and ``card_of`` the containing block's cardinality.  Purging
   selects blocks against the shared adaptive threshold in one cardinality
   pass, filtering ranks all assignments with a single stable sort by
-  ``(entity, cardinality)`` (NumPy ``lexsort`` when available, a
-  bit-identical pure-Python sort otherwise), and comparison propagation
+  ``(entity, cardinality)`` (one NumPy ``lexsort``), and comparison propagation
   deduplicates pairs as single ``(min ordinal << 32) | max ordinal``
   integers instead of canonical string tuples.
 * ``engine="oracle"`` runs the legacy per-``dict``/``set`` builders and

@@ -40,8 +40,7 @@ one interface, following the established two-engine pattern:
   - filtering ranks each description's assignments by block cardinality in
     one global ``np.lexsort`` over the assignment arrays (stable, so block
     order breaks ties exactly like the oracle's per-entity sort) and marks
-    kept assignments in a flat flag array; the pure-Python fallback runs
-    the same stable per-entity sort over the same arrays, bit-identically;
+    kept assignments in a flat flag array;
   - comparison propagation deduplicates pairs as single integers
     (``(min ordinal << 32) | max ordinal``) instead of canonical string
     tuples, emitting first-occurrence pair blocks in the oracle's exact
@@ -74,10 +73,11 @@ engines reject).
 
 from __future__ import annotations
 
-import math
 import warnings
 from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput
 from repro.blocking.canopy import CanopyClusteringBlocking
@@ -111,11 +111,6 @@ from repro.datamodel.pairs import canonical_pair
 from repro.text.profile_store import ProfileStore
 from repro.text.tokenize import token_set, uri_tokens
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 #: Execution engines of the blocking phase.
 BLOCKING_ENGINES = ("index", "oracle")
 
@@ -126,7 +121,7 @@ _INDEX_BUILDERS = (TokenBlocking, PrefixInfixSuffixBlocking, AttributeClustering
 
 #: Long-tail scheme families with an array build in their own module.  Same
 #: exact-type rule as ``_INDEX_BUILDERS``; each build function has the
-#: signature ``(builder, data, context, use_numpy) -> BlockCollection``.
+#: signature ``(builder, data, context) -> BlockCollection``.
 _ARRAY_BUILDS = {
     MinHashLSHBlocking: _minhash_index_build,
     CanopyClusteringBlocking: _canopy_index_build,
@@ -405,16 +400,16 @@ def _index_purge(
 
 
 def _index_filter(
-    blocks: BlockCollection, filtering: BlockFiltering, use_numpy: bool, parallel=None
+    blocks: BlockCollection, filtering: BlockFiltering, parallel=None
 ) -> BlockCollection:
     """Streaming filtering pass over the CSR assignment arrays.
 
     Every description keeps the assignments to its ``ceil(ratio * degree)``
-    smallest blocks (at least one).  The NumPy path ranks all assignments in
-    one stable ``lexsort`` by (entity, cardinality) -- stability preserves
-    the block-major layout, i.e. ascending block index, as the tie-break,
+    smallest blocks (at least one).  All assignments are ranked in one
+    stable ``lexsort`` by (entity, cardinality) -- stability preserves the
+    block-major layout, i.e. ascending block index, as the tie-break,
     exactly like the oracle's per-entity ``(cardinality, block index)``
-    sort; the fallback runs the same stable sort per entity.
+    sort.
     """
     filtered = BlockCollection(name=f"{blocks.name}/filtered")
     if len(blocks) == 0:
@@ -422,15 +417,14 @@ def _index_filter(
     index = _BlockIndex(blocks)
     ratio = filtering.ratio
 
+    keep_flags = bytearray(index.num_assignments)
     if parallel is not None and index.num_assignments:
         # per-entity keep sets are independent, so pooled ranged passes over
         # the shared assignment columns reproduce the flags bit-identically
         keep_flags = parallel.filter_keep_flags(
-            index.ent_of, index.card_of, index.num_entities, ratio, use_numpy
+            index.ent_of, index.card_of, index.num_entities, ratio
         )
-    elif use_numpy and _np is not None and index.num_assignments:
-        keep_flags = bytearray(index.num_assignments)
-        np = _np
+    elif index.num_assignments:
         ent_of = np.frombuffer(index.ent_of, dtype=np.int64)
         card_of = np.frombuffer(index.card_of, dtype=np.int64)
         order = np.lexsort((card_of, ent_of))
@@ -441,20 +435,6 @@ def _index_filter(
         keep_counts = np.maximum(1, np.ceil(ratio * degrees)).astype(np.int64)
         for position in order[rank < keep_counts[ent_sorted]].tolist():
             keep_flags[position] = 1
-    else:
-        keep_flags = bytearray(index.num_assignments)
-        per_entity: List[List[int]] = [[] for _ in range(index.num_entities)]
-        for position, o in enumerate(index.ent_of):
-            per_entity[o].append(position)
-        card_of = index.card_of
-        for positions in per_entity:
-            # positions are ascending (block-major layout) and sort() is
-            # stable, so ranking by cardinality alone reproduces the
-            # oracle's (cardinality, block index) ranking
-            positions.sort(key=card_of.__getitem__)
-            keep = max(1, math.ceil(ratio * len(positions)))
-            for position in positions[:keep]:
-                keep_flags[position] = 1
 
     blk_ptr = index.blk_ptr
     for block_index, block in enumerate(blocks):
@@ -473,9 +453,7 @@ def _index_filter(
     return filtered
 
 
-def _index_propagate(
-    blocks: BlockCollection, use_numpy: bool, parallel=None
-) -> BlockCollection:
+def _index_propagate(blocks: BlockCollection, parallel=None) -> BlockCollection:
     """Streaming comparison propagation: integer-coded pair deduplication.
 
     Pairs are deduplicated as single integers ``(min << 32) | max`` over
@@ -486,22 +464,20 @@ def _index_propagate(
     (and with the identical left/right orientation, which the oracle takes
     from the first block that proposes the pair).
 
-    The NumPy path generates each block's pair codes vectorised and
-    resolves first occurrences globally with one ``np.unique``; the
-    pure-Python path streams the same codes through a set.  The per-pair
-    output blocks are identical either way.  The vectorised codes live in
-    ``int64``, whose sign bit caps the shifted half at ``2**31`` ordinals;
-    collections beyond that (which would not fit in memory anyway) take the
-    arbitrary-precision pure-Python path automatically.
+    Each block's pair codes are generated vectorised and first occurrences
+    are resolved globally with one ``np.unique``.  The vectorised codes live
+    in ``int64``, whose sign bit caps the shifted half at ``2**31``
+    ordinals; collections beyond that (which would not fit in memory
+    anyway) take the arbitrary-precision streaming path, which pushes the
+    same codes through a set and emits identical per-pair blocks.
     """
     if parallel is not None and len(blocks):
         # ranged worker passes with driver-side first-occurrence resolution;
         # emission order, keys and orientation match the sequential pass
         return parallel.propagate_pairs(blocks)
-    if use_numpy and _np is not None:
-        # total member count bounds the number of distinct ordinals cheaply
-        if sum(len(block) for block in blocks) < (1 << 31):
-            return _propagate_numpy(blocks)
+    # total member count bounds the number of distinct ordinals cheaply
+    if sum(len(block) for block in blocks) < (1 << 31):
+        return _propagate_numpy(blocks)
     return _propagate_python(blocks)
 
 
@@ -570,10 +546,8 @@ def _propagate_numpy(blocks: BlockCollection) -> BlockCollection:
     spike for the per-pair Python work the streaming path pays.  For inputs
     whose aggregate cardinality vastly exceeds the distinct pair count --
     e.g. unpurged collections with extreme redundancy -- prefer purging
-    first (as the workflow does) or the pure-Python path, which holds only
-    the distinct-pair set.
+    first (as the workflow does).
     """
-    np = _np
     deduplicated = BlockCollection(name=f"{blocks.name}/propagated")
     ordinal: Dict[str, int] = {}
     intern = ordinal.setdefault
@@ -703,11 +677,6 @@ class BlockingEngine:
         own ``build``, so the engine is always safe to use.
     engine:
         ``"index"`` (default) or ``"oracle"``.
-    use_numpy:
-        Force (``True``, raising :class:`ValueError` when NumPy is not
-        importable) or forbid (``False``) the vectorised filtering and
-        propagation passes; ``None`` (default) uses NumPy whenever it is
-        importable.  Both paths produce bit-identical output.
     context:
         Optional shared :class:`~repro.core.context.PipelineContext`.  When
         given and the context owns the input data, the index builders read
@@ -738,22 +707,15 @@ class BlockingEngine:
         self,
         builder: Optional[BlockBuilder] = None,
         engine: str = "index",
-        use_numpy: Optional[bool] = None,
         context=None,
         parallel=None,
     ) -> None:
         if engine not in BLOCKING_ENGINES:
             raise ValueError(f"unknown engine {engine!r}; available: {BLOCKING_ENGINES}")
-        if use_numpy and _np is None:
-            raise ValueError(
-                "use_numpy=True but numpy is not importable; "
-                "pass use_numpy=None to fall back automatically"
-            )
         self.builder = builder if builder is not None else TokenBlocking()
         self.engine = engine
         self.context = context
         self.parallel = parallel
-        self._use_numpy = (_np is not None) if use_numpy is None else bool(use_numpy)
         #: engine that actually executed the last build/clean call
         self.last_engine: Optional[str] = None
         self._warned_fallback = False
@@ -775,7 +737,7 @@ class BlockingEngine:
                 context = None
             array_build = _ARRAY_BUILDS.get(type(self.builder))
             if array_build is not None:
-                return array_build(self.builder, data, context, self._use_numpy)
+                return array_build(self.builder, data, context)
             if type(self.builder) is AttributeClusteringBlocking:
                 return _index_attribute_clustering_build(self.builder, data, context)
             if (
@@ -826,18 +788,14 @@ class BlockingEngine:
         if filtering is not None:
             ran = True
             if self.engine == "index" and type(filtering) is BlockFiltering:
-                result = _index_filter(
-                    result, filtering, self._use_numpy, parallel=self.parallel
-                )
+                result = _index_filter(result, filtering, parallel=self.parallel)
             else:
                 oracle_used = True
                 result = filtering.process(result)
         if propagate:
             ran = True
             if self.engine == "index":
-                result = _index_propagate(
-                    result, self._use_numpy, parallel=self.parallel
-                )
+                result = _index_propagate(result, parallel=self.parallel)
             else:
                 oracle_used = True
                 result = ComparisonPropagation().process(result)

@@ -25,7 +25,8 @@ The whole hash family derives from the single ``seed`` argument: one
 vectorised engine can evaluate the identical family in ``uint64``
 arithmetic (``((a * h) % P + b) % P == (a * h + b) % P`` exactly, since
 ``(a * h) % P + b < 2**62``).  Signatures are therefore reproducible
-bit-for-bit across the NumPy and pure-Python paths from the seed alone.
+bit-for-bit across the vectorised array build and the per-description
+oracle from the seed alone.
 """
 
 from __future__ import annotations
@@ -35,15 +36,12 @@ import random
 from array import array
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput
 from repro.blocking.columns import TokenColumnView, add_block, append_posting
 from repro.datamodel.description import EntityDescription
 from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
-
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 _MERSENNE_PRIME = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
@@ -164,42 +162,39 @@ class MinHashLSHBlocking(BlockBuilder):
 # array build (dispatched by repro.blocking.engine.BlockingEngine)
 # ----------------------------------------------------------------------
 def _signature_rows(
-    minhash: MinHashSignature, hashed_columns: List[array], use_numpy: bool
+    minhash: MinHashSignature, hashed_columns: List[array]
 ) -> List[Sequence[int]]:
     """One signature per (non-empty) hashed column, as ``num_hashes``-long rows.
 
-    The NumPy path evaluates each permutation over the concatenation of all
-    columns and takes segment minima with ``np.minimum.reduceat``; the
-    pure-Python path runs :meth:`MinHashSignature.signature_of_hashes` per
-    column.  Both produce the same integers (see the module docstring).
+    Each permutation is evaluated over the concatenation of all columns and
+    segment minima are taken with ``np.minimum.reduceat``; the integers are
+    those of :meth:`MinHashSignature.signature_of_hashes` per column (see
+    the module docstring).
     """
-    if use_numpy and _np is not None and hashed_columns:
-        np = _np
-        lengths = [len(column) for column in hashed_columns]
-        starts = np.zeros(len(lengths), dtype=np.int64)
-        np.cumsum(np.asarray(lengths[:-1], dtype=np.int64), out=starts[1:])
-        values = np.concatenate(
-            [np.frombuffer(column, dtype=np.int64) for column in hashed_columns]
-        ).astype(np.uint64)
-        prime = np.uint64(_MERSENNE_PRIME)
-        mask = np.uint64(_MAX_HASH)
-        rows = np.empty((minhash.num_hashes, len(hashed_columns)), dtype=np.uint64)
-        for position, (a, b) in enumerate(
-            zip(minhash._coefficients_a, minhash._coefficients_b)
-        ):
-            # (a*h) % P + b < 2**62, so the split form is exact in uint64
-            permuted = (np.uint64(a) * values) % prime
-            permuted += np.uint64(b)
-            permuted %= prime
-            permuted &= mask
-            np.minimum.reduceat(permuted, starts, out=rows[position])
-        return rows.T.tolist()
-    return [minhash.signature_of_hashes(column) for column in hashed_columns]
+    if not hashed_columns:  # np.concatenate([]) raises
+        return []
+    lengths = [len(column) for column in hashed_columns]
+    starts = np.zeros(len(lengths), dtype=np.int64)
+    np.cumsum(np.asarray(lengths[:-1], dtype=np.int64), out=starts[1:])
+    values = np.concatenate(
+        [np.frombuffer(column, dtype=np.int64) for column in hashed_columns]
+    ).astype(np.uint64)
+    prime = np.uint64(_MERSENNE_PRIME)
+    mask = np.uint64(_MAX_HASH)
+    rows = np.empty((minhash.num_hashes, len(hashed_columns)), dtype=np.uint64)
+    for position, (a, b) in enumerate(
+        zip(minhash._coefficients_a, minhash._coefficients_b)
+    ):
+        # (a*h) % P + b < 2**62, so the split form is exact in uint64
+        permuted = (np.uint64(a) * values) % prime
+        permuted += np.uint64(b)
+        permuted %= prime
+        permuted &= mask
+        np.minimum.reduceat(permuted, starts, out=rows[position])
+    return rows.T.tolist()
 
 
-def _index_build(
-    builder: MinHashLSHBlocking, data: ERInput, context, use_numpy: bool
-) -> BlockCollection:
+def _index_build(builder: MinHashLSHBlocking, data: ERInput, context) -> BlockCollection:
     """Array build: one signature matrix, integer band bucketing.
 
     Block-for-block identical to :meth:`MinHashLSHBlocking.build`: the token
@@ -226,7 +221,7 @@ def _index_build(
         entities.append(ordinal)
         hashed_columns.append(hashed)
 
-    rows = _signature_rows(builder._minhash, hashed_columns, use_numpy)
+    rows = _signature_rows(builder._minhash, hashed_columns)
 
     num_bands = builder.num_bands
     rows_per_band = builder.rows_per_band

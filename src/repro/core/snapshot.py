@@ -5,16 +5,15 @@ its resolution state -- a growable vocabulary, token-id columns, union--find
 parents, cluster postings -- must survive a restart without re-interning the
 whole arrival history.  This module is the persistence primitive that makes
 that possible: a snapshot is a **directory of ``.npy`` files plus a
-``manifest.json``**, written with a pure-Python ``.npy`` v1.0 writer so the
-bytes on disk are identical whether or not NumPy is installed.
+``manifest.json``**, written with a small ``.npy`` v1.0 writer that streams
+growable columns chunk by chunk, so the bytes on disk are a pure function of
+the column values.
 
 Design rules:
 
-* **One format, two readers.**  Columns are standard one-dimensional
-  little-endian ``.npy`` arrays (``<i8``).  With NumPy installed they are
-  opened with ``np.load(mmap_mode="r")``; without it, with ``mmap`` +
-  ``memoryview.cast('q')``.  Either way a loaded column is a zero-copy view
-  over the file, and both readers see bit-identical values.
+* **One standard format.**  Columns are one-dimensional little-endian
+  ``.npy`` arrays (``<i8``), opened with ``np.load(mmap_mode="r")`` -- a
+  zero-copy view over the file.
 * **Strings as blob + offsets.**  A string column is a raw UTF-8
   concatenation (``<name>.blob``) plus an ``int64`` offset column of length
   ``n + 1`` -- the same CSR shape as every other column.
@@ -46,9 +45,7 @@ only about named int64 columns, named string columns and a metadata dict.
 
 from __future__ import annotations
 
-import ast
 import json
-import mmap
 import os
 import secrets
 import shutil
@@ -59,10 +56,7 @@ from array import array
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-try:  # optional accelerator -- the format does not depend on it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+import numpy as np
 
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
@@ -108,14 +102,14 @@ def _file_crc32(path: Path) -> int:
 
 
 # ----------------------------------------------------------------------
-# .npy primitives (pure Python, NumPy-compatible)
+# .npy primitives
 # ----------------------------------------------------------------------
 def _npy_header(count: int, descr: str) -> bytes:
     """A NumPy-format 1.0 header for a 1-D array, padded numpy-style.
 
     The header dict uses the exact literal layout ``np.lib.format`` emits and
-    is padded with spaces so the data section starts on a 64-byte boundary --
-    which is what makes the memory-mapped ``memoryview.cast('q')`` aligned.
+    is padded with spaces so the data section starts on a 64-byte boundary,
+    which keeps the memory-mapped column aligned.
     """
     header = "{'descr': '%s', 'fortran_order': False, 'shape': (%d,), }" % (
         descr,
@@ -149,49 +143,13 @@ def write_npy(path: Union[str, Path], chunks: Iterable[Any], count: int) -> None
         raise ValueError(f"{path.name}: wrote {written} values, declared {count}")
 
 
-def _parse_npy_header(buffer: Any) -> "tuple[str, int, int]":
-    """``(descr, count, data offset)`` of a 1-D ``.npy`` buffer."""
-    if bytes(buffer[:6]) != _MAGIC:
-        raise ValueError("not a .npy file (bad magic)")
-    major = buffer[6]
-    if major == 1:
-        (header_len,) = struct.unpack_from("<H", buffer, 8)
-        start = 10
-    elif major == 2:
-        (header_len,) = struct.unpack_from("<I", buffer, 8)
-        start = 12
-    else:
-        raise ValueError(f"unsupported .npy version {major}")
-    info = ast.literal_eval(bytes(buffer[start : start + header_len]).decode("latin1"))
-    shape = info["shape"]
-    if info.get("fortran_order") or len(shape) != 1:
-        raise ValueError(f"expected a C-ordered 1-D array, got {info!r}")
-    return info["descr"], shape[0], start + header_len
-
-
-def read_npy(path: Union[str, Path], use_numpy: Optional[bool] = None) -> Sequence[int]:
-    """Memory-map a 1-D int64 ``.npy`` file back as a zero-copy view.
-
-    Returns an ``np.memmap``-backed array when NumPy is importable (unless
-    ``use_numpy=False``), otherwise a ``memoryview`` cast to ``'q'`` over an
-    ``mmap``.  Both support ``len``, indexing, slicing and iteration; the
-    ``memoryview`` keeps its ``mmap`` alive through the buffer protocol.
-    """
+def read_npy(path: Union[str, Path]) -> np.ndarray:
+    """Memory-map a 1-D int64 ``.npy`` file back as a zero-copy view."""
     path = Path(path)
-    numpy_wanted = (_np is not None) if use_numpy is None else bool(use_numpy)
-    if numpy_wanted:
-        if _np is None:
-            raise ValueError("use_numpy=True but numpy is not importable")
-        loaded = _np.load(str(path), mmap_mode="r")
-        if loaded.ndim != 1 or loaded.dtype != _np.int64:
-            raise ValueError(f"{path.name}: expected a 1-D int64 column")
-        return loaded
-    with open(path, "rb") as handle:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    descr, count, offset = _parse_npy_header(mapped)
-    if descr != _INT64:
-        raise ValueError(f"{path.name}: expected {_INT64}, got {descr!r}")
-    return memoryview(mapped)[offset : offset + count * 8].cast("q")
+    loaded = np.load(str(path), mmap_mode="r")
+    if loaded.ndim != 1 or loaded.dtype != np.int64:
+        raise ValueError(f"{path.name}: expected a 1-D int64 column")
+    return loaded
 
 
 # ----------------------------------------------------------------------
@@ -204,8 +162,8 @@ def _chunks_of(values: Any) -> "tuple[List[Any], int]":
         return list(chunks()), len(values)
     if isinstance(values, array) and values.typecode == "q":
         return [values], len(values)
-    if _np is not None and isinstance(values, _np.ndarray):
-        return [_np.ascontiguousarray(values, dtype=_np.int64)], len(values)
+    if isinstance(values, np.ndarray):
+        return [np.ascontiguousarray(values, dtype=np.int64)], len(values)
     flat = array("q", values)
     return [flat], len(flat)
 
@@ -342,9 +300,8 @@ class SnapshotReader:
     integrity cannot be verified.
     """
 
-    def __init__(self, path: Union[str, Path], use_numpy: Optional[bool] = None) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._use_numpy = use_numpy
         manifest_path = self.path / _MANIFEST
         if not manifest_path.is_file():
             raise FileNotFoundError(f"no snapshot manifest at {manifest_path}")
@@ -416,7 +373,7 @@ class SnapshotReader:
                 "the snapshot is partial"
             )
         try:
-            return read_npy(path, use_numpy=self._use_numpy)
+            return read_npy(path)
         except (ValueError, OSError) as error:
             raise SnapshotError(
                 f"{label}: snapshot file {filename!r} is unreadable ({error}); "

@@ -13,10 +13,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as np
 
 
 def canonical_pair(first: str, second: str) -> Tuple[str, str]:
@@ -87,7 +84,7 @@ def pair_code(a: int, b: int) -> int:
     return (a << 32) | b if a < b else (b << 32) | a
 
 
-def identifier_ranks(ids: Sequence[str]) -> Sequence[int]:
+def identifier_ranks(ids: Sequence[str]) -> np.ndarray:
     """Rank of every ordinal in the lexicographic order of its identifier.
 
     Comparing ranks is equivalent to comparing the identifier strings, which
@@ -95,13 +92,8 @@ def identifier_ranks(ids: Sequence[str]) -> Sequence[int]:
     the clustering engine's heaviest-first edge sort) break weight ties
     exactly like a sort over the identifier pair itself.
     """
-    if _np is not None:
-        rank = _np.empty(len(ids), dtype=_np.int64)
-        rank[_np.argsort(_np.array(ids))] = _np.arange(len(ids), dtype=_np.int64)
-        return rank
-    rank = [0] * len(ids)
-    for position, ordinal in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
-        rank[ordinal] = position
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[np.argsort(np.array(ids))] = np.arange(len(ids), dtype=np.int64)
     return rank
 
 
@@ -241,45 +233,25 @@ class ComparisonColumns(Sequence):
         The exact order of ``MetaBlocking.weighted_comparisons`` and of
         :class:`~repro.progressive.schedulers.WeightOrderScheduler`:
         descending weight, ties broken by the canonical identifier pair
-        (missing weights sort last).  NumPy runs one ``lexsort`` over the
-        rank and weight columns; the fallback sorts row indices with the
-        equivalent key.  Both orders are identical.
+        (missing weights sort last), in one ``lexsort`` over the rank and
+        weight columns.
         """
         n = len(self)
         if n <= 1 or self.weight_ordered:
             return self
         rank = self._ranks()
-        if _np is not None:
-            first = _np.frombuffer(self.first, dtype=_np.int64)
-            second = _np.frombuffer(self.second, dtype=_np.int64)
-            if self.weights is None:
-                order = _np.lexsort((rank[second], rank[first]))
-            else:
-                weights = _np.frombuffer(self.weights, dtype=_np.float64)
-                order = _np.lexsort((rank[second], rank[first], -weights))
-            sorted_first = array("q", first[order].tobytes())
-            sorted_second = array("q", second[order].tobytes())
-            sorted_weights = None
-            if self.weights is not None:
-                sorted_weights = array("d", weights[order].tobytes())
+        first = np.frombuffer(self.first, dtype=np.int64)
+        second = np.frombuffer(self.second, dtype=np.int64)
+        if self.weights is None:
+            order = np.lexsort((rank[second], rank[first]))
         else:
-            first = self.first
-            second = self.second
-            weights = self.weights
-            if weights is None:
-                indices = sorted(
-                    range(n), key=lambda i: (rank[first[i]], rank[second[i]])
-                )
-            else:
-                indices = sorted(
-                    range(n),
-                    key=lambda i: (-weights[i], rank[first[i]], rank[second[i]]),
-                )
-            sorted_first = array("q", (first[i] for i in indices))
-            sorted_second = array("q", (second[i] for i in indices))
-            sorted_weights = (
-                array("d", (weights[i] for i in indices)) if weights is not None else None
-            )
+            weights = np.frombuffer(self.weights, dtype=np.float64)
+            order = np.lexsort((rank[second], rank[first], -weights))
+        sorted_first = array("q", first[order].tobytes())
+        sorted_second = array("q", second[order].tobytes())
+        sorted_weights = None
+        if self.weights is not None:
+            sorted_weights = array("d", weights[order].tobytes())
         return ComparisonColumns(
             self.ids,
             sorted_first,

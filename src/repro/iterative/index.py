@@ -129,8 +129,6 @@ class IncrementalIndex:
         facade handles the fallback.
     max_candidates, stop_words, min_token_length:
         As on :class:`~repro.iterative.incremental.IncrementalResolver`.
-    use_numpy:
-        Forwarded to the scoring engine; ``None`` auto-detects.
     context:
         Optional pre-existing :class:`GrowableContext` (used by
         :meth:`load`); a fresh one is created by default.
@@ -142,7 +140,6 @@ class IncrementalIndex:
         max_candidates: int = 20,
         stop_words=DEFAULT_STOP_WORDS,
         min_token_length: int = 2,
-        use_numpy: Optional[bool] = None,
         context: Optional[GrowableContext] = None,
     ) -> None:
         if type(matcher) is not ProfileSimilarityMatcher or matcher.vectorizer is not None:
@@ -157,7 +154,7 @@ class IncrementalIndex:
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
         self.min_token_length = min_token_length
         self.context = context if context is not None else GrowableContext()
-        self._engine = MatchingEngine(matcher, use_numpy=use_numpy)
+        self._engine = MatchingEngine(matcher)
         self._index_filter = self.context.token_filter(
             self.stop_words, self.min_token_length
         )
@@ -557,7 +554,6 @@ class IncrementalIndex:
         cls,
         path: Union[str, Path],
         matcher: Optional[ProfileSimilarityMatcher] = None,
-        use_numpy: Optional[bool] = None,
     ) -> "IncrementalIndex":
         """Memory-map a snapshot back into a live, growable index.
 
@@ -565,7 +561,7 @@ class IncrementalIndex:
         which case its configuration must match the snapshot's exactly
         (scores would silently diverge otherwise).
         """
-        reader = SnapshotReader(path, use_numpy=use_numpy)
+        reader = SnapshotReader(path)
         meta = reader.meta
         if meta.get("kind") != "incremental-index":
             raise ValueError(f"snapshot at {path} is not an incremental index")
@@ -598,7 +594,6 @@ class IncrementalIndex:
             max_candidates=meta["max_candidates"],
             stop_words=meta["stop_words"],
             min_token_length=meta["min_token_length"],
-            use_numpy=use_numpy,
             context=context,
         )
         index._uf.parent = array("q", (int(v) for v in reader.column("index.uf_parent")))

@@ -45,6 +45,8 @@ import multiprocessing
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.unionfind import IntUnionFind
 from repro.datamodel.pairs import ComparisonColumns, canonical_pair, identifier_ranks
 from repro.mapreduce import shm, worker
@@ -52,18 +54,10 @@ from repro.mapreduce.balancing import contiguous_partitions
 from repro.mapreduce.shm import ColumnSegment, SegmentSpec
 from repro.mapreduce.supervisor import Supervisor
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-
 def _extend_int64(destination: array, column) -> None:
     """Append ``column`` (array/ndarray/sequence of ints) to an ``array('q')``."""
-    if _np is not None and isinstance(column, _np.ndarray):
-        destination.frombytes(
-            _np.ascontiguousarray(column, dtype=_np.int64).tobytes()
-        )
+    if isinstance(column, np.ndarray):
+        destination.frombytes(np.ascontiguousarray(column, dtype=np.int64).tobytes())
     else:
         destination.extend(column)
 
@@ -390,7 +384,7 @@ class ParallelEngine:
             cards.extend(chunk)
         return cards
 
-    def filter_keep_flags(self, ent_of, card_of, num_entities, ratio, use_numpy) -> bytearray:
+    def filter_keep_flags(self, ent_of, card_of, num_entities, ratio) -> bytearray:
         """Keep flags over the assignment positions (block filtering).
 
         Entities are sharded into contiguous ordinal ranges balanced by
@@ -406,7 +400,7 @@ class ParallelEngine:
             degrees[o] += 1
         costs = [degree + 1 for degree in degrees]
         tasks = [
-            (segment.spec, ratio, start, stop, use_numpy)
+            (segment.spec, ratio, start, stop)
             for start, stop in contiguous_partitions(costs, self.num_workers)
         ]
         for chunk in self._run(worker.filter_keep_job, tasks, "filtering"):
@@ -515,17 +509,12 @@ class ParallelEngine:
 
         def source(scheme: str, lower: bool):
             rounds = self._node_weight_rounds(index_engine, entry, scheme, lower)
-            vectorised = index_engine._use_numpy
             for nodes, ptr, neighbours_flat, weights_flat in rounds:
-                if vectorised:
-                    np_neighbours = _np.frombuffer(neighbours_flat, dtype=_np.int64)
-                    np_weights = _np.frombuffer(weights_flat, dtype=_np.float64)
+                np_neighbours = np.frombuffer(neighbours_flat, dtype=np.int64)
+                np_weights = np.frombuffer(weights_flat, dtype=np.float64)
                 for position, node in enumerate(nodes):
                     lo, hi = ptr[position], ptr[position + 1]
-                    if vectorised:
-                        yield node, np_neighbours[lo:hi], np_weights[lo:hi]
-                    else:
-                        yield node, neighbours_flat[lo:hi], weights_flat[lo:hi]
+                    yield node, np_neighbours[lo:hi], np_weights[lo:hi]
 
         index_engine.node_weights_source = source
         return True
@@ -550,13 +539,12 @@ class ParallelEngine:
             raise ValueError(f"CEP budget must be non-negative, got {budget}")
         entry = self._index_entry(index_engine)
         factors_spec = self._factors_spec(index_engine, entry, scheme)
-        use_numpy = index_engine._use_numpy
         edge = index_engine._edge
         parts = entry["parts"]
 
         if pruning == "WEP":
             tasks = [
-                (entry["spec"], factors_spec, scheme, start, stop, use_numpy)
+                (entry["spec"], factors_spec, scheme, start, stop)
                 for start, stop in parts
             ]
             count = 0
@@ -571,7 +559,7 @@ class ParallelEngine:
             # whose fsum equals the sequential full-stream fsum exactly
             threshold = math.fsum(partials) / count
             tasks = [
-                (entry["spec"], factors_spec, scheme, threshold, start, stop, use_numpy)
+                (entry["spec"], factors_spec, scheme, threshold, start, stop)
                 for start, stop in parts
             ]
             retained = []
@@ -587,7 +575,7 @@ class ParallelEngine:
             thresholds = array("d", bytes(8 * num_entities))
             total = 0
             tasks = [
-                (entry["spec"], factors_spec, scheme, start, stop, use_numpy)
+                (entry["spec"], factors_spec, scheme, start, stop)
                 for start, stop in parts
             ]
             for (start, stop), (counts, sums, shard_total) in zip(
@@ -611,7 +599,6 @@ class ParallelEngine:
                     reciprocal,
                     start,
                     stop,
-                    use_numpy,
                 )
                 for start, stop in parts
             ]
@@ -628,7 +615,7 @@ class ParallelEngine:
                 nodes = max(1, index_engine.num_entities)
                 k = max(1, int(round(index_engine.num_assignments / nodes)) - 1)
             tasks = [
-                (entry["spec"], factors_spec, scheme, k, start, stop, use_numpy)
+                (entry["spec"], factors_spec, scheme, k, start, stop)
                 for start, stop in parts
             ]
             endorsed: Dict[Tuple[int, int], list] = {}
@@ -655,7 +642,7 @@ class ParallelEngine:
         if budget is None:
             budget = max(1, index_engine.num_assignments // 2)
         tasks = [
-            (entry["spec"], factors_spec, scheme, budget, start, stop, use_numpy)
+            (entry["spec"], factors_spec, scheme, budget, start, stop)
             for start, stop in parts
         ]
         count = 0
@@ -715,7 +702,7 @@ class ParallelEngine:
             return cached
         factors_spec = self._factors_spec(index_engine, entry, scheme)
         tasks = [
-            (entry["spec"], factors_spec, scheme, lower, start, stop, index_engine._use_numpy)
+            (entry["spec"], factors_spec, scheme, lower, start, stop)
             for start, stop in entry["parts"]
         ]
         rounds = self._run(worker.node_weights_job, tasks, "weights")
@@ -744,28 +731,17 @@ class ParallelEngine:
         integer reduction, so the result equals the sequential
         ``_degrees`` column exactly.
         """
-        tasks = [
-            (entry["spec"], start, stop, index_engine._use_numpy)
-            for start, stop in entry["parts"]
-        ]
+        tasks = [(entry["spec"], start, stop) for start, stop in entry["parts"]]
         results = self._run(worker.partial_degrees_job, tasks, "degrees")
         num_entities = index_engine.num_entities
         num_edges = 0
-        if _np is not None and index_engine._use_numpy:
-            accumulated = _np.zeros(num_entities, dtype=_np.int64)
-            for degrees, edges in results:
-                if len(degrees):
-                    accumulated += _np.frombuffer(degrees, dtype=_np.int64)
-                num_edges += edges
-            total = array("q")
-            total.frombytes(accumulated.tobytes())
-        else:
-            total = array("q", bytes(8 * num_entities))
-            for degrees, edges in results:
-                num_edges += edges
-                for node, degree in enumerate(degrees):
-                    if degree:
-                        total[node] += degree
+        accumulated = np.zeros(num_entities, dtype=np.int64)
+        for degrees, edges in results:
+            if len(degrees):
+                accumulated += np.frombuffer(degrees, dtype=np.int64)
+            num_edges += edges
+        total = array("q")
+        total.frombytes(accumulated.tobytes())
         index_engine._degree_cache = (total, num_edges)
 
     # ------------------------------------------------------------------

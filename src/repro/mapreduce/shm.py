@@ -7,7 +7,7 @@ without copying: the driver packs the named columns of one pipeline phase
 into a single segment (:class:`ColumnSegment`), ships the tiny picklable
 :attr:`~ColumnSegment.spec` to the workers, and every worker attaches the
 segment once and reads the columns through zero-copy ``memoryview`` casts
-(or ``numpy.frombuffer`` views on the vectorised paths).
+(and ``numpy.frombuffer`` views over those in the vectorised kernels).
 
 Lifecycle rules (see also the :mod:`repro.mapreduce` package docstring):
 
@@ -265,14 +265,6 @@ class AttachedSegment:
             views[column] = buf[offset : offset + nbytes].cast(typecode)
         self.views = views
         self._released = False
-
-    def numpy_view(self, spec: SegmentSpec, column: str, dtype):
-        """A ``numpy`` view of one column (the caller supplies the module)."""
-        import numpy as np
-
-        _name, layout = spec
-        typecode, offset, items = layout[column]
-        return np.frombuffer(self._shm.buf, dtype=dtype, count=items, offset=offset)
 
     def release(self) -> None:
         """Drop every view, then close the worker's mapping (idempotent)."""

@@ -33,6 +33,8 @@ import math
 from array import array
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.core.unionfind import IntUnionFind
 from repro.mapreduce import faults
 from repro.mapreduce.shm import AttachedSegment, SegmentSpec, attach
@@ -41,16 +43,11 @@ from repro.metablocking.entity_index import _CEP_COMPACT_SLACK, EntityIndexEngin
 from repro.text.tokenize import tokenize
 from repro.text.vectorizer import SparseVector, weighted_cosine
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 #: attached segments this worker keeps mapped (evicted view-first, oldest first)
 _SEGMENT_CACHE_SIZE = 8
 
 _segments: Dict[str, AttachedSegment] = {}
-_engines: Dict[Tuple[str, bool], EntityIndexEngine] = {}
+_engines: Dict[str, EntityIndexEngine] = {}
 _profiles: Dict[Tuple, Dict[int, object]] = {}
 
 #: whether attachments must be unregistered from this process's resource
@@ -224,42 +221,29 @@ def filter_keep_job(args) -> array:
     sequential pass runs.  Per-entity decisions are independent, so the
     union of the ranges' kept positions equals the sequential keep set.
     """
-    spec, ratio, start, stop, use_numpy = args
+    spec, ratio, start, stop = args
     kept = array("q")
     if start >= stop:
         return kept
     views = _segment(spec).views
-    ent_of = views["ent_of"]
-    card_of = views["card_of"]
-    if use_numpy and _np is not None:
-        np = _np
-        ent = np.frombuffer(ent_of, dtype=np.int64)
-        card = np.frombuffer(card_of, dtype=np.int64)
-        positions = np.flatnonzero((ent >= start) & (ent < stop))
-        if not len(positions):
-            return kept
-        sub_ent = ent[positions] - start
-        sub_card = card[positions]
-        order = np.lexsort((sub_card, sub_ent))
-        ent_sorted = sub_ent[order]
-        degrees = np.bincount(sub_ent, minlength=stop - start)
-        ent_ptr = np.concatenate(([0], np.cumsum(degrees)))
-        rank = np.arange(len(positions), dtype=np.int64) - ent_ptr[ent_sorted]
-        keep_counts = np.maximum(1, np.ceil(ratio * degrees)).astype(np.int64)
-        kept.frombytes(
-            np.ascontiguousarray(
-                positions[order][rank < keep_counts[ent_sorted]], dtype=np.int64
-            ).tobytes()
-        )
+    ent = np.frombuffer(views["ent_of"], dtype=np.int64)
+    card = np.frombuffer(views["card_of"], dtype=np.int64)
+    positions = np.flatnonzero((ent >= start) & (ent < stop))
+    if not len(positions):
         return kept
-    per_entity = [[] for _ in range(stop - start)]
-    for position, o in enumerate(ent_of):
-        if start <= o < stop:
-            per_entity[o - start].append(position)
-    for positions in per_entity:
-        positions.sort(key=card_of.__getitem__)
-        keep = max(1, math.ceil(ratio * len(positions)))
-        kept.extend(positions[:keep])
+    sub_ent = ent[positions] - start
+    sub_card = card[positions]
+    order = np.lexsort((sub_card, sub_ent))
+    ent_sorted = sub_ent[order]
+    degrees = np.bincount(sub_ent, minlength=stop - start)
+    ent_ptr = np.concatenate(([0], np.cumsum(degrees)))
+    rank = np.arange(len(positions), dtype=np.int64) - ent_ptr[ent_sorted]
+    keep_counts = np.maximum(1, np.ceil(ratio * degrees)).astype(np.int64)
+    kept.frombytes(
+        np.ascontiguousarray(
+            positions[order][rank < keep_counts[ent_sorted]], dtype=np.int64
+        ).tobytes()
+    )
     return kept
 
 
@@ -346,16 +330,14 @@ def propagate_pairs_job(args):
 # ----------------------------------------------------------------------
 def _index_engine(
     mb_spec: SegmentSpec,
-    use_numpy: bool,
     factors_spec: Optional[SegmentSpec],
     scheme: str,
 ) -> EntityIndexEngine:
     segment = _segment(mb_spec)
-    key = (mb_spec[0], use_numpy)
-    engine = _engines.get(key)
+    engine = _engines.get(mb_spec[0])
     if engine is None:
-        engine = EntityIndexEngine.from_arrays(segment.views, use_numpy)
-        _engines[key] = engine
+        engine = EntityIndexEngine.from_arrays(segment.views)
+        _engines[mb_spec[0]] = engine
     if factors_spec is not None and scheme not in engine._factor_cache:
         engine._factor_cache[scheme] = _segment(factors_spec).views["factors"]
     return engine
@@ -369,33 +351,24 @@ def node_weights_job(args) -> Tuple[array, array, array, array]:
     exactly what the sequential ranged ``_node_weights`` pass yields -- it
     *is* that pass, over a worker-side replica of the index.
     """
-    mb_spec, factors_spec, scheme, lower, start, stop, use_numpy = args
-    engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
+    mb_spec, factors_spec, scheme, lower, start, stop = args
+    engine = _index_engine(mb_spec, factors_spec, scheme)
     nodes = array("q")
     ptr = array("q", [0])
     neighbours_flat = array("q")
     weights_flat = array("d")
-    vectorised = engine._use_numpy
     for i, neighbours, weights in engine._node_weights(scheme, lower, start, stop):
         nodes.append(i)
-        if vectorised:
-            neighbours_flat.frombytes(
-                _np.ascontiguousarray(neighbours, dtype=_np.int64).tobytes()
-            )
-            weights_flat.frombytes(
-                _np.ascontiguousarray(weights, dtype=_np.float64).tobytes()
-            )
-        else:
-            neighbours_flat.extend(neighbours)
-            weights_flat.extend(weights)
+        neighbours_flat.frombytes(np.ascontiguousarray(neighbours, dtype=np.int64).tobytes())
+        weights_flat.frombytes(np.ascontiguousarray(weights, dtype=np.float64).tobytes())
         ptr.append(len(neighbours_flat))
     return nodes, ptr, neighbours_flat, weights_flat
 
 
 def partial_degrees_job(args) -> Tuple[array, int]:
     """EJS support round: the degree contributions of one node range."""
-    mb_spec, start, stop, use_numpy = args
-    engine = _index_engine(mb_spec, use_numpy, None, "")
+    mb_spec, start, stop = args
+    engine = _index_engine(mb_spec, None, "")
     return engine._partial_degrees(start, stop)
 
 
@@ -426,16 +399,15 @@ def _exact_partials(values) -> list:
 
 def wep_stats_job(args) -> Tuple[int, array]:
     """WEP threshold round: edge count and exact sum partials of one range."""
-    mb_spec, factors_spec, scheme, start, stop, use_numpy = args
-    engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
+    mb_spec, factors_spec, scheme, start, stop = args
+    engine = _index_engine(mb_spec, factors_spec, scheme)
     count = 0
-    vectorised = engine._use_numpy
 
     def edge_weights():
         nonlocal count
         for _i, _neighbours, weights in engine._node_weights(scheme, True, start, stop):
             count += len(weights)
-            yield from weights.tolist() if vectorised else weights
+            yield from weights.tolist()
 
     partials = _exact_partials(edge_weights())
     return count, array("d", partials)
@@ -443,29 +415,20 @@ def wep_stats_job(args) -> Tuple[int, array]:
 
 def wep_emit_job(args) -> Tuple[array, array, array]:
     """WEP emission round: the retained edges of one node range."""
-    mb_spec, factors_spec, scheme, threshold, start, stop, use_numpy = args
-    engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
+    mb_spec, factors_spec, scheme, threshold, start, stop = args
+    engine = _index_engine(mb_spec, factors_spec, scheme)
     firsts = array("q")
     seconds = array("q")
     kept = array("d")
-    if engine._use_numpy:
-        np = _np
-        for i, neighbours, weights in engine._node_weights(scheme, True, start, stop):
-            close = np.abs(weights - threshold) <= 1e-9 * np.maximum(
-                np.abs(weights), abs(threshold)
-            )
-            keep = (weights > threshold) | (close & (weights > 0))
-            for j, weight in zip(neighbours[keep].tolist(), weights[keep].tolist()):
-                firsts.append(i)
-                seconds.append(j)
-                kept.append(weight)
-    else:
-        for i, neighbours, weights in engine._node_weights(scheme, True, start, stop):
-            for j, weight in zip(neighbours, weights):
-                if weight > threshold or (math.isclose(weight, threshold) and weight > 0):
-                    firsts.append(i)
-                    seconds.append(j)
-                    kept.append(weight)
+    for i, neighbours, weights in engine._node_weights(scheme, True, start, stop):
+        close = np.abs(weights - threshold) <= 1e-9 * np.maximum(
+            np.abs(weights), abs(threshold)
+        )
+        keep = (weights > threshold) | (close & (weights > 0))
+        for j, weight in zip(neighbours[keep].tolist(), weights[keep].tolist()):
+            firsts.append(i)
+            seconds.append(j)
+            kept.append(weight)
     return firsts, seconds, kept
 
 
@@ -476,8 +439,8 @@ def wnp_stats_job(args) -> Tuple[array, array, int]:
     node's own range pass, so the per-node ``fsum`` runs the identical code
     the sequential pass runs -- bit-identical thresholds.
     """
-    mb_spec, factors_spec, scheme, start, stop, use_numpy = args
-    engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
+    mb_spec, factors_spec, scheme, start, stop = args
+    engine = _index_engine(mb_spec, factors_spec, scheme)
     counts = array("q", bytes(8 * (stop - start)))
     sums = array("d", bytes(8 * (stop - start)))
     total = 0
@@ -499,39 +462,22 @@ def wnp_emit_job(args) -> Tuple[array, array, array]:
         reciprocal,
         start,
         stop,
-        use_numpy,
     ) = args
-    engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
+    engine = _index_engine(mb_spec, factors_spec, scheme)
     thresholds = _segment(thresholds_spec).views["thresholds"]
     firsts = array("q")
     seconds = array("q")
     kept = array("d")
-    if engine._use_numpy:
-        np_thresholds = _np.frombuffer(thresholds, dtype=_np.float64)
-        for i, neighbours, weights in engine._node_weights(scheme, True, start, stop):
-            keep_first = weights >= thresholds[i]
-            keep_second = weights >= np_thresholds[neighbours]
-            keep = (keep_first & keep_second) if reciprocal else (keep_first | keep_second)
-            keep &= weights > 0
-            for j, weight in zip(neighbours[keep].tolist(), weights[keep].tolist()):
-                firsts.append(i)
-                seconds.append(j)
-                kept.append(weight)
-    else:
-        for i, neighbours, weights in engine._node_weights(scheme, True, start, stop):
-            threshold_i = thresholds[i]
-            for j, weight in zip(neighbours, weights):
-                keep_first = weight >= threshold_i
-                keep_second = weight >= thresholds[j]
-                keep = (
-                    (keep_first and keep_second)
-                    if reciprocal
-                    else (keep_first or keep_second)
-                )
-                if keep and weight > 0:
-                    firsts.append(i)
-                    seconds.append(j)
-                    kept.append(weight)
+    np_thresholds = np.frombuffer(thresholds, dtype=np.float64)
+    for i, neighbours, weights in engine._node_weights(scheme, True, start, stop):
+        keep_first = weights >= thresholds[i]
+        keep_second = weights >= np_thresholds[neighbours]
+        keep = (keep_first & keep_second) if reciprocal else (keep_first | keep_second)
+        keep &= weights > 0
+        for j, weight in zip(neighbours[keep].tolist(), weights[keep].tolist()):
+            firsts.append(i)
+            seconds.append(j)
+            kept.append(weight)
     return firsts, seconds, kept
 
 
@@ -543,30 +489,25 @@ def cnp_endorse_job(args) -> Tuple[array, array, array, int]:
     the per-node ``nlargest`` emission order is returned verbatim, so the
     driver can replay the endorsement inserts in node order.
     """
-    mb_spec, factors_spec, scheme, k, start, stop, use_numpy = args
-    engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
+    mb_spec, factors_spec, scheme, k, start, stop = args
+    engine = _index_engine(mb_spec, factors_spec, scheme)
     ranks = engine._ranks()
     a_column = array("q")
     b_column = array("q")
     w_column = array("d")
     total = 0
-    vectorised = engine._use_numpy
     for i, neighbours, weights in engine._node_weights(scheme, False, start, stop):
         degree = len(neighbours)
         total += degree
         if k <= 0:
             continue
-        if vectorised and degree > k:
-            kth = _np.partition(weights, degree - k)[degree - k]
-            keep = weights >= kth
-            candidate_pairs = zip(neighbours[keep].tolist(), weights[keep].tolist())
-        elif vectorised:
-            candidate_pairs = zip(neighbours.tolist(), weights.tolist())
-        else:
-            candidate_pairs = zip(neighbours, weights)
+        if degree > k:
+            keep = weights >= np.partition(weights, degree - k)[degree - k]
+            neighbours = neighbours[keep]
+            weights = weights[keep]
         rank_i = ranks[i]
         incident = []
-        for j, weight in candidate_pairs:
+        for j, weight in zip(neighbours.tolist(), weights.tolist()):
             rank_j = ranks[j]
             if rank_i < rank_j:
                 incident.append((weight, rank_i, rank_j, i, j))
@@ -587,27 +528,23 @@ def cep_candidates_job(args):
     result is a superset filter -- the driver's global ``nsmallest`` over
     the union of the local buffers equals the sequential selection.
     """
-    mb_spec, factors_spec, scheme, budget, start, stop, use_numpy = args
-    engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
+    mb_spec, factors_spec, scheme, budget, start, stop = args
+    engine = _index_engine(mb_spec, factors_spec, scheme)
     ranks = engine._ranks()
     count = 0
     buffer: list = []
     cutoff = -math.inf
     compact_at = 2 * budget + _CEP_COMPACT_SLACK
-    vectorised = engine._use_numpy
     for i, neighbours, weights in engine._node_weights(scheme, True, start, stop):
         count += len(neighbours)
         if budget == 0:
             continue
-        if vectorised and cutoff != -math.inf:
+        if cutoff != -math.inf:
             keep = weights >= cutoff
             neighbours = neighbours[keep]
             weights = weights[keep]
         rank_i = ranks[i]
-        for j, weight in zip(
-            neighbours.tolist() if vectorised else neighbours,
-            weights.tolist() if vectorised else weights,
-        ):
+        for j, weight in zip(neighbours.tolist(), weights.tolist()):
             if weight < cutoff:
                 continue
             rank_j = ranks[j]
@@ -651,32 +588,17 @@ def weight_sort_job(args) -> array:
     rank = views["rank"]
     first = views["first"]
     second = views["second"]
-    if _np is not None:
-        np = _np
-        np_rank = np.frombuffer(rank, dtype=np.int64)
-        np_first = np.frombuffer(first, dtype=np.int64)[start:stop]
-        np_second = np.frombuffer(second, dtype=np.int64)[start:stop]
-        if has_weights:
-            np_weights = np.frombuffer(views["weights"], dtype=np.float64)[start:stop]
-            order = np.lexsort((np_rank[np_second], np_rank[np_first], -np_weights))
-        else:
-            order = np.lexsort((np_rank[np_second], np_rank[np_first]))
-        result = array("q")
-        result.frombytes(
-            np.ascontiguousarray(order + start, dtype=np.int64).tobytes()
-        )
-        return result
+    np_rank = np.frombuffer(rank, dtype=np.int64)
+    np_first = np.frombuffer(first, dtype=np.int64)[start:stop]
+    np_second = np.frombuffer(second, dtype=np.int64)[start:stop]
     if has_weights:
-        weights = views["weights"]
-        indices = sorted(
-            range(start, stop),
-            key=lambda i: (-weights[i], rank[first[i]], rank[second[i]]),
-        )
+        np_weights = np.frombuffer(views["weights"], dtype=np.float64)[start:stop]
+        order = np.lexsort((np_rank[np_second], np_rank[np_first], -np_weights))
     else:
-        indices = sorted(
-            range(start, stop), key=lambda i: (rank[first[i]], rank[second[i]])
-        )
-    return array("q", indices)
+        order = np.lexsort((np_rank[np_second], np_rank[np_first]))
+    result = array("q")
+    result.frombytes(np.ascontiguousarray(order + start, dtype=np.int64).tobytes())
+    return result
 
 
 # ----------------------------------------------------------------------

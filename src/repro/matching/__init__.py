@@ -24,8 +24,7 @@ tokenisation and TF-IDF weighting cost *K* times.
 workflow default) instead resolves each description once into a columnar
 :class:`~repro.text.profile_store.ProfileStore` -- interned integer token
 ids, sorted id arrays and L2-normalised TF-IDF weight columns -- and scores
-candidate pairs in vectorised passes (NumPy when importable, with a
-bit-identical pure-Python fallback).
+candidate pairs in vectorised NumPy passes.
 
 The per-pair matchers remain the *oracle*: ``engine="pairwise"`` executes
 them verbatim, the equivalence suite (``tests/test_matching_equivalence.py``)

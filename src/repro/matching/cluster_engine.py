@@ -43,6 +43,8 @@ from __future__ import annotations
 from array import array
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.core.unionfind import IntUnionFind
 from repro.datamodel.pairs import DecisionColumns, identifier_ranks
 from repro.matching.clustering import (
@@ -52,11 +54,6 @@ from repro.matching.clustering import (
     MergeCenterClustering,
 )
 from repro.matching.matchers import MatchDecision
-
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Execution engines of the clustering phase.
 CLUSTERING_ENGINES = ("array", "object")
@@ -83,10 +80,6 @@ class ClusteringEngine:
         use.
     engine:
         ``"array"`` (default) or ``"object"``.
-    use_numpy:
-        Force (``True``, raising :class:`ValueError` when NumPy is not
-        importable) or forbid (``False``) the vectorised edge sort; ``None``
-        uses NumPy whenever importable.  Both paths are bit-identical.
     parallel:
         Optional :class:`~repro.mapreduce.parallel.ParallelEngine`.  The
         connected-components union--find then runs as per-shard passes over
@@ -105,21 +98,14 @@ class ClusteringEngine:
         self,
         algorithm: ClusteringAlgorithm,
         engine: str = "array",
-        use_numpy: Optional[bool] = None,
         parallel=None,
     ) -> None:
         if engine not in CLUSTERING_ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; available: {CLUSTERING_ENGINES}"
             )
-        if use_numpy and _np is None:
-            raise ValueError(
-                "use_numpy=True but numpy is not importable; "
-                "pass use_numpy=None to fall back automatically"
-            )
         self.algorithm = algorithm
         self.engine = engine
-        self._use_numpy = (_np is not None) if use_numpy is None else bool(use_numpy)
         self.parallel = parallel
         #: engine that actually produced the last clusters
         self.last_engine: Optional[str] = None
@@ -246,23 +232,15 @@ class ClusteringEngine:
         canonical-orientation columns of :meth:`_canonical_rows`; rank
         comparison equals string comparison).
         """
+        positive = np.flatnonzero(np.frombuffer(columns.is_match, dtype=np.uint8))
+        if not len(positive):
+            return ()
         rank = identifier_ranks(columns.ids)
-        if self._use_numpy:
-            flags = _np.frombuffer(columns.is_match, dtype=_np.uint8)
-            positive = _np.flatnonzero(flags)
-            if not len(positive):
-                return ()
-            first = _np.frombuffer(first, dtype=_np.int64)[positive]
-            second = _np.frombuffer(second, dtype=_np.int64)[positive]
-            similarity = _np.frombuffer(columns.similarity, dtype=_np.float64)[positive]
-            order = _np.lexsort((rank[second], rank[first], -similarity))
-            return positive[order].tolist()
-        similarity = columns.similarity
-        positive = [i for i, flag in enumerate(columns.is_match) if flag]
-        positive.sort(
-            key=lambda i: (-similarity[i], rank[first[i]], rank[second[i]])
-        )
-        return positive
+        first = np.frombuffer(first, dtype=np.int64)[positive]
+        second = np.frombuffer(second, dtype=np.int64)[positive]
+        similarity = np.frombuffer(columns.similarity, dtype=np.float64)[positive]
+        order = np.lexsort((rank[second], rank[first], -similarity))
+        return positive[order].tolist()
 
     def _cluster_center(self, columns: DecisionColumns) -> List[FrozenSet[str]]:
         ids = columns.ids

@@ -12,11 +12,12 @@ Two engines sit behind one interface, mirroring the meta-blocking engines of
 PR 1:
 
 * ``engine="batch"`` (the default) -- resolves candidate pairs against the
-  profile store and scores them in vectorised passes: NumPy when importable
-  (token-id gathers against a vocabulary-sized scratch column, grouped by the
-  left-hand description so its column is scattered once per group), and a
-  pure-Python fallback over cached ``frozenset``/dict views.  Both paths are
-  bit-identical to each other *and* to the per-pair matcher:
+  profile store and scores them in vectorised NumPy passes (token-id gathers
+  against a vocabulary-sized scratch column, grouped by the left-hand
+  description so its column is scattered once per group).  A batch of a
+  single pair skips the scratch column and scores the cached
+  ``frozenset``/dict views directly.  Scores are bit-identical to the
+  per-pair matcher:
 
   - set similarities reduce to integer intersection counts, and the final
     score is computed with the very expressions of
@@ -45,6 +46,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.datamodel.pairs import Comparison, DecisionColumns, OrdinalInterner
@@ -56,11 +59,6 @@ from repro.matching.matchers import (
 )
 from repro.text.profile_store import Profile, ProfileStore
 from repro.text.vectorizer import weighted_cosine
-
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Execution engines of the matching phase.
 MATCHING_ENGINES = ("batch", "pairwise")
@@ -96,11 +94,6 @@ class MatchingEngine:
         oracle, so the engine is always safe to use.
     engine:
         ``"batch"`` (default) or ``"pairwise"``.
-    use_numpy:
-        Force (``True``, raising :class:`ValueError` when NumPy is not
-        importable) or forbid (``False``) the vectorised scoring path;
-        ``None`` uses NumPy whenever importable.  Both paths are
-        bit-identical.
     context:
         Optional shared :class:`~repro.core.context.PipelineContext`.  When
         given, the engine's profile store is backed by the context: profiles
@@ -131,22 +124,15 @@ class MatchingEngine:
         self,
         matcher: Matcher,
         engine: str = "batch",
-        use_numpy: Optional[bool] = None,
         context=None,
         parallel=None,
     ) -> None:
         if engine not in MATCHING_ENGINES:
             raise ValueError(f"unknown engine {engine!r}; available: {MATCHING_ENGINES}")
-        if use_numpy and _np is None:
-            raise ValueError(
-                "use_numpy=True but numpy is not importable; "
-                "pass use_numpy=None to fall back automatically"
-            )
         self.matcher = matcher
         self.engine = engine
         self.context = context
         self.parallel = parallel
-        self._use_numpy = (_np is not None) if use_numpy is None else bool(use_numpy)
         self._store: Optional[ProfileStore] = None
         self._store_source: Optional[object] = None
         #: engine that actually executed the last call
@@ -388,12 +374,12 @@ class MatchingEngine:
         # a win amortised over a batch, pure overhead for a single pair
         # (e.g. adaptive schedulers deciding one comparison at a time), which
         # the bit-identical cached-set/dict path scores in O(profile) instead
-        use_numpy = self._use_numpy and len(profile_pairs) > 1
+        batched = len(profile_pairs) > 1
         if store.mode == "tfidf":
-            if use_numpy:
+            if batched:
                 return self._score_tfidf_numpy(store, profile_pairs)
             return self._score_tfidf_python(profile_pairs)
-        if use_numpy:
+        if batched:
             return self._score_sets_numpy(store, profile_pairs)
         return self._score_sets_python(profile_pairs)
 
@@ -412,7 +398,7 @@ class MatchingEngine:
     ) -> List[float]:
         name = self.matcher.similarity_name
         scores: List[float] = [0.0] * len(profile_pairs)
-        flags = _np.zeros(store.vocabulary_size, dtype=bool)
+        flags = np.zeros(store.vocabulary_size, dtype=bool)
         for left, group in self._grouped(profile_pairs).items():
             left_ids = left.np_ids
             left_size = len(left)
@@ -430,12 +416,12 @@ class MatchingEngine:
                 # one gather for the whole group: concatenate the right
                 # profiles' token ids and segment-sum the marked flags
                 sizes = [len(right) for _index, right in non_empty]
-                offsets = _np.zeros(len(sizes), dtype=_np.intp)
-                _np.cumsum(sizes[:-1], out=offsets[1:])
+                offsets = np.zeros(len(sizes), dtype=np.intp)
+                np.cumsum(sizes[:-1], out=offsets[1:])
                 marked = flags[
-                    _np.concatenate([right.np_ids for _index, right in non_empty])
+                    np.concatenate([right.np_ids for _index, right in non_empty])
                 ]
-                shared_counts = _np.add.reduceat(marked, offsets, dtype=_np.intp)
+                shared_counts = np.add.reduceat(marked, offsets, dtype=np.intp)
                 for (index, right), shared in zip(non_empty, shared_counts.tolist()):
                     scores[index] = _set_score(name, left_size, len(right), shared)
             flags[left_ids] = False
@@ -469,65 +455,58 @@ class MatchingEngine:
         self.last_engine = "batch"
         name = self.matcher.similarity_name
         scores: List[float] = [0.0] * len(pairs)
-        if self._use_numpy and len(pairs) > 1:
-            # runs of equal first ordinals share one scatter of the first
-            # column; callers that sort their pairs (the similarity join
-            # emits them in ascending canonical order) get one run per
-            # distinct left-hand description for free
-            np_columns = [_np.asarray(column, dtype=_np.intp) for column in id_columns]
-            sizes = [len(column) for column in id_columns]
-            flags = _np.zeros(vocabulary_size, dtype=bool)
-            total = len(pairs)
-            start = 0
-            while start < total:
-                first = pairs[start][0]
-                stop = start + 1
-                while stop < total and pairs[stop][0] == first:
-                    stop += 1
-                first_size = sizes[first]
-                seconds = [pairs[index][1] for index in range(start, stop)]
-                non_empty = [second for second in seconds if sizes[second]]
-                if len(non_empty) < len(seconds):
-                    for offset, second in enumerate(seconds):
-                        if not sizes[second]:
-                            scores[start + offset] = _set_score(name, first_size, 0, 0)
-                if non_empty:
-                    first_ids = np_columns[first]
-                    flags[first_ids] = True
-                    if len(non_empty) == 1:
-                        shared_counts = [int(flags[np_columns[non_empty[0]]].sum())]
-                    else:
-                        offsets = _np.zeros(len(non_empty), dtype=_np.intp)
-                        _np.cumsum([sizes[s] for s in non_empty[:-1]], out=offsets[1:])
-                        marked = flags[
-                            _np.concatenate([np_columns[s] for s in non_empty])
-                        ]
-                        shared_counts = _np.add.reduceat(
-                            marked, offsets, dtype=_np.intp
-                        ).tolist()
-                    counts = iter(shared_counts)
-                    for offset, second in enumerate(seconds):
-                        second_size = sizes[second]
-                        if second_size:
-                            scores[start + offset] = _set_score(
-                                name, first_size, second_size, next(counts)
-                            )
-                    flags[first_ids] = False
-                start = stop
+        if len(pairs) <= 1:
+            # one pair: the scratch column would be pure overhead (see _score)
+            for index, (first, second) in enumerate(pairs):
+                first_set = frozenset(id_columns[first])
+                second_set = frozenset(id_columns[second])
+                shared = len(first_set & second_set)
+                scores[index] = _set_score(name, len(first_set), len(second_set), shared)
             return scores
-        sets: Dict[int, frozenset] = {}
-
-        def id_set(ordinal: int) -> frozenset:
-            cached = sets.get(ordinal)
-            if cached is None:
-                sets[ordinal] = cached = frozenset(id_columns[ordinal])
-            return cached
-
-        for index, (first, second) in enumerate(pairs):
-            first_set = id_set(first)
-            second_set = id_set(second)
-            shared = len(first_set & second_set)
-            scores[index] = _set_score(name, len(first_set), len(second_set), shared)
+        # runs of equal first ordinals share one scatter of the first
+        # column; callers that sort their pairs (the similarity join
+        # emits them in ascending canonical order) get one run per
+        # distinct left-hand description for free
+        np_columns = [np.asarray(column, dtype=np.intp) for column in id_columns]
+        sizes = [len(column) for column in id_columns]
+        flags = np.zeros(vocabulary_size, dtype=bool)
+        total = len(pairs)
+        start = 0
+        while start < total:
+            first = pairs[start][0]
+            stop = start + 1
+            while stop < total and pairs[stop][0] == first:
+                stop += 1
+            first_size = sizes[first]
+            seconds = [pairs[index][1] for index in range(start, stop)]
+            non_empty = [second for second in seconds if sizes[second]]
+            if len(non_empty) < len(seconds):
+                for offset, second in enumerate(seconds):
+                    if not sizes[second]:
+                        scores[start + offset] = _set_score(name, first_size, 0, 0)
+            if non_empty:
+                first_ids = np_columns[first]
+                flags[first_ids] = True
+                if len(non_empty) == 1:
+                    shared_counts = [int(flags[np_columns[non_empty[0]]].sum())]
+                else:
+                    offsets = np.zeros(len(non_empty), dtype=np.intp)
+                    np.cumsum([sizes[s] for s in non_empty[:-1]], out=offsets[1:])
+                    marked = flags[
+                        np.concatenate([np_columns[s] for s in non_empty])
+                    ]
+                    shared_counts = np.add.reduceat(
+                        marked, offsets, dtype=np.intp
+                    ).tolist()
+                counts = iter(shared_counts)
+                for offset, second in enumerate(seconds):
+                    second_size = sizes[second]
+                    if second_size:
+                        scores[start + offset] = _set_score(
+                            name, first_size, second_size, next(counts)
+                        )
+                flags[first_ids] = False
+            start = stop
         return scores
 
     @staticmethod
@@ -546,7 +525,7 @@ class MatchingEngine:
         self, store: ProfileStore, profile_pairs: Sequence[Tuple[Profile, Profile]]
     ) -> List[float]:
         scores: List[float] = [0.0] * len(profile_pairs)
-        column = _np.zeros(store.vocabulary_size, dtype=_np.float64)
+        column = np.zeros(store.vocabulary_size, dtype=np.float64)
         for left, group in self._grouped(profile_pairs).items():
             if not len(left):
                 continue  # empty profile: cosine is 0.0 for the whole group

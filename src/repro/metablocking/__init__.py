@@ -20,8 +20,8 @@ Two interchangeable execution engines implement the restructuring:
   node's neighbourhood at a time, and emits retained comparisons lazily via a
   generator.  Pruned edges are never materialised: peak transient memory is
   proportional to the largest node neighbourhood, not to the number of graph
-  edges, and the hot loops run over machine integers (vectorised with NumPy
-  when available).  Pick it for anything beyond toy inputs.
+  edges, and the hot loops run over machine integers (vectorised with
+  NumPy).  Pick it for anything beyond toy inputs.
 * **graph** -- :class:`~repro.metablocking.graph.BlockingGraph` materialises a
   dictionary entry per edge plus per-edge shared-block lists, and the pruning
   schemes in :mod:`repro.metablocking.pruning` materialise every weighted

@@ -28,10 +28,9 @@ generator.  Peak transient memory is therefore bounded by the largest node
 neighbourhood (plus the retained output itself for the cardinality schemes),
 not by the total edge count.
 
-When NumPy is importable the neighbourhood expansion runs vectorised (a CSR
-gather followed by ``np.unique``/``np.bincount``); otherwise a pure-Python
-fallback iterates the same typed arrays.  Both paths produce bit-identical
-weights: per-edge arithmetic uses the same operand order as the graph engine
+The neighbourhood expansion runs vectorised (a CSR gather followed by
+``np.unique``/``np.bincount``), and the weights are bit-identical to the
+graph engine's: per-edge arithmetic uses the same operand order
 (canonical identifier order for the ECBS/EJS discount factors, ascending
 block order for the ARCS accumulation), and every threshold sum (WEP global
 mean, WNP node-local means) goes through :func:`math.fsum`, whose exactly
@@ -48,14 +47,11 @@ from array import array
 from math import fsum
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.blocking.base import BlockCollection
 from repro.datamodel.pairs import identifier_ranks
 from repro.metablocking.graph import WeightedEdge
-
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Weighting schemes natively supported by the index engine.
 INDEX_WEIGHTING_SCHEMES = ("CBS", "ECBS", "JS", "EJS", "ARCS")
@@ -90,13 +86,9 @@ class EntityIndexEngine:
         The (cleaned) block collection to restructure.  Bilateral blocks are
         handled per block: only cross-side co-occurrences produce edges,
         exactly as in :class:`~repro.metablocking.graph.BlockingGraph`.
-    use_numpy:
-        Force (``True``) or forbid (``False``) the vectorised neighbourhood
-        path; ``None`` (default) uses NumPy whenever it is importable.  Both
-        paths produce bit-identical output.
     """
 
-    def __init__(self, blocks: BlockCollection, use_numpy: Optional[bool] = None) -> None:
+    def __init__(self, blocks: BlockCollection) -> None:
         self.blocks = blocks
         ids: List[str] = []
         ordinal: Dict[str, int] = {}
@@ -161,22 +153,7 @@ class EntityIndexEngine:
         self._ent_ptr = ent_ptr
         self._ent_blocks = ent_blocks
         self._ent_side = ent_side
-
-        self._use_numpy = (_np is not None) if use_numpy is None else (use_numpy and _np is not None)
-        if self._use_numpy:
-            self._np_blk_ents = _np.frombuffer(blk_ents, dtype=_np.int64) if blk_ents else _np.zeros(0, _np.int64)
-            self._np_blk_ptr = _np.frombuffer(blk_ptr, dtype=_np.int64)
-            self._np_blk_split = (
-                _np.frombuffer(blk_split, dtype=_np.int64) if blk_split else _np.zeros(0, _np.int64)
-            )
-            self._np_recip = _np.frombuffer(recip, dtype=_np.float64) if recip else _np.zeros(0)
-            self._np_ent_ptr = _np.frombuffer(ent_ptr, dtype=_np.int64)
-            self._np_ent_blocks = (
-                _np.frombuffer(ent_blocks, dtype=_np.int64) if ent_blocks else _np.zeros(0, _np.int64)
-            )
-            self._np_ent_side = (
-                _np.frombuffer(ent_side, dtype=_np.int8) if ent_side else _np.zeros(0, _np.int8)
-            )
+        self._view_columns()
 
         self._degree_cache: Optional[Tuple[array, int]] = None
         self._factor_cache: Dict[str, Sequence[float]] = {}
@@ -198,7 +175,6 @@ class EntityIndexEngine:
     def from_arrays(
         cls,
         columns: Dict[str, Sequence],
-        use_numpy: bool,
         factors: Optional[Dict[str, Sequence[float]]] = None,
     ) -> "EntityIndexEngine":
         """Reconstruct a weighting-only replica from exported flat columns.
@@ -225,18 +201,7 @@ class EntityIndexEngine:
         self.num_entities = len(columns["ent_ptr"]) - 1
         self.num_blocks = len(columns["blk_ptr"]) - 1
         self.num_assignments = len(columns["blk_ents"])
-        self._use_numpy = use_numpy and _np is not None
-        if self._use_numpy:
-            as_np = lambda col, dtype: (
-                _np.asarray(col, dtype=dtype) if len(col) else _np.zeros(0, dtype)
-            )
-            self._np_blk_ents = as_np(self._blk_ents, _np.int64)
-            self._np_blk_ptr = as_np(self._blk_ptr, _np.int64)
-            self._np_blk_split = as_np(self._blk_split, _np.int64)
-            self._np_recip = as_np(self._recip, _np.float64)
-            self._np_ent_ptr = as_np(self._ent_ptr, _np.int64)
-            self._np_ent_blocks = as_np(self._ent_blocks, _np.int64)
-            self._np_ent_side = as_np(self._ent_side, _np.int8)
+        self._view_columns()
         self._degree_cache = None
         self._factor_cache = dict(factors) if factors else {}
         self._rank_cache = columns["ranks"]
@@ -244,6 +209,20 @@ class EntityIndexEngine:
         self.last_num_edges = None
         self.last_retained = None
         return self
+
+    def _view_columns(self) -> None:
+        """NumPy views of the CSR columns (copies only for empty columns)."""
+
+        def view(column, dtype):
+            return np.asarray(column, dtype=dtype) if len(column) else np.zeros(0, dtype)
+
+        self._np_blk_ents = view(self._blk_ents, np.int64)
+        self._np_blk_ptr = view(self._blk_ptr, np.int64)
+        self._np_blk_split = view(self._blk_split, np.int64)
+        self._np_recip = view(self._recip, np.float64)
+        self._np_ent_ptr = view(self._ent_ptr, np.int64)
+        self._np_ent_blocks = view(self._ent_blocks, np.int64)
+        self._np_ent_side = view(self._ent_side, np.int8)
 
     # ------------------------------------------------------------------
     # structure
@@ -264,65 +243,14 @@ class EntityIndexEngine:
     # ------------------------------------------------------------------
     # neighbourhood expansion
     # ------------------------------------------------------------------
-    def _scan_node(
-        self,
-        i: int,
-        cbs: List[int],
-        arcs: Optional[List[float]],
-        lower: bool,
-    ) -> List[int]:
-        """Accumulate node ``i``'s neighbourhood into the scratch buffers.
-
-        Returns the sorted list of touched neighbour ordinals; ``cbs[j]`` then
-        holds the number of shared blocks and ``arcs[j]`` (when requested) the
-        ARCS partial sum, accumulated in ascending block order -- the same
-        order the graph engine uses, so float results are bit-identical.
-        With ``lower`` the scan is restricted to neighbours ``j > i`` so that
-        every undirected edge is visited exactly once across all nodes.  The
-        caller must reset the touched buffer slots before the next node.
-        """
-        blk_ents = self._blk_ents
-        blk_ptr = self._blk_ptr
-        blk_split = self._blk_split
-        touched: List[int] = []
-        append = touched.append
-        for pos in range(self._ent_ptr[i], self._ent_ptr[i + 1]):
-            b = self._ent_blocks[pos]
-            start = blk_ptr[b]
-            split = blk_split[b]
-            if split < 0:
-                lo, hi = start, blk_ptr[b + 1]
-            elif self._ent_side[pos]:
-                lo, hi = start, start + split  # i on the right: scan the left side
-            else:
-                lo, hi = start + split, blk_ptr[b + 1]  # i on the left: scan the right
-            if arcs is None:
-                for j in blk_ents[lo:hi]:
-                    if j == i or (lower and j < i):
-                        continue
-                    if not cbs[j]:
-                        append(j)
-                    cbs[j] += 1
-            else:
-                r = self._recip[b]
-                for j in blk_ents[lo:hi]:
-                    if j == i or (lower and j < i):
-                        continue
-                    if not cbs[j]:
-                        append(j)
-                    cbs[j] += 1
-                    arcs[j] += r
-        touched.sort()
-        return touched
-
     def _gather_node(self, i: int, lower: bool, want_arcs: bool):
         """Vectorised neighbourhood of node ``i``: ``(neighbours, counts, arcs)``.
 
         ``neighbours`` is sorted ascending; ``arcs`` is ``None`` unless
         requested.  ``np.bincount`` adds the per-block reciprocal weights in
-        input (= ascending block) order, matching the scalar accumulation.
+        input (= ascending block) order, matching the graph engine's
+        accumulation.
         """
-        np = _np
         p0, p1 = self._ent_ptr[i], self._ent_ptr[i + 1]
         empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0) if want_arcs else None)
         if p0 == p1:
@@ -369,28 +297,8 @@ class EntityIndexEngine:
 
     def _degrees(self) -> Tuple[array, int]:
         """Per-node distinct-neighbour counts and the total edge count."""
-        if self._degree_cache is not None:
-            return self._degree_cache
-        degrees = _int_array(self.num_entities)
-        num_edges = 0
-        if self._use_numpy:
-            np_degrees = _np.zeros(self.num_entities, dtype=_np.int64)
-            for i in range(self.num_entities):
-                neighbours, _counts, _arcs = self._gather_node(i, lower=True, want_arcs=False)
-                np_degrees[i] += len(neighbours)
-                _np.add.at(np_degrees, neighbours, 1)
-                num_edges += len(neighbours)
-            degrees = array("q", np_degrees.tobytes())
-        else:
-            cbs = [0] * self.num_entities
-            for i in range(self.num_entities):
-                touched = self._scan_node(i, cbs, None, lower=True)
-                degrees[i] += len(touched)
-                num_edges += len(touched)
-                for j in touched:
-                    degrees[j] += 1
-                    cbs[j] = 0
-        self._degree_cache = (degrees, num_edges)
+        if self._degree_cache is None:
+            self._degree_cache = self._partial_degrees(0, self.num_entities)
         return self._degree_cache
 
     def _partial_degrees(self, start: int, stop: int) -> Tuple[array, int]:
@@ -405,24 +313,13 @@ class EntityIndexEngine:
         column without ever running the full pass in one process.
         """
         num_edges = 0
-        if self._use_numpy:
-            np_degrees = _np.zeros(self.num_entities, dtype=_np.int64)
-            for i in range(start, stop):
-                neighbours, _counts, _arcs = self._gather_node(i, lower=True, want_arcs=False)
-                np_degrees[i] += len(neighbours)
-                _np.add.at(np_degrees, neighbours, 1)
-                num_edges += len(neighbours)
-            return array("q", np_degrees.tobytes()), num_edges
-        degrees = _int_array(self.num_entities)
-        cbs = [0] * self.num_entities
+        degrees = np.zeros(self.num_entities, dtype=np.int64)
         for i in range(start, stop):
-            touched = self._scan_node(i, cbs, None, lower=True)
-            degrees[i] += len(touched)
-            num_edges += len(touched)
-            for j in touched:
-                degrees[j] += 1
-                cbs[j] = 0
-        return degrees, num_edges
+            neighbours, _counts, _arcs = self._gather_node(i, lower=True, want_arcs=False)
+            degrees[i] += len(neighbours)
+            np.add.at(degrees, neighbours, 1)
+            num_edges += len(neighbours)
+        return array("q", degrees.tobytes()), num_edges
 
     # ------------------------------------------------------------------
     # weighting
@@ -454,70 +351,15 @@ class EntityIndexEngine:
         self._factor_cache[scheme] = factors
         return factors
 
-    def _weigh_scalar_factory(self, scheme: str):
-        """Return ``weigh(i, j, shared, arcs) -> float`` for ``scheme``.
+    def _weigh_vector_factory(self, scheme: str):
+        """Return ``weigh(i, neighbours, counts, arcs) -> float64 array``.
 
         The arithmetic mirrors :mod:`repro.metablocking.weighting` exactly,
         including operand order (the graph engine multiplies the per-node
         discount factors in canonical identifier order, here realised through
-        the precomputed rank column).
+        the precomputed rank column), so the weights are bit-identical to the
+        graph engine's.
         """
-        ent_ptr = self._ent_ptr
-
-        if scheme == "CBS":
-            return lambda i, j, shared, arcs: float(shared)
-
-        if scheme == "ARCS":
-            return lambda i, j, shared, arcs: arcs
-
-        if scheme in ("ECBS", "EJS"):
-            factor = self._factors(scheme)
-            ranks = self._ranks()
-            if scheme == "ECBS":
-
-                def weigh(i: int, j: int, shared: int, arcs: float) -> float:
-                    if ranks[i] > ranks[j]:
-                        i, j = j, i
-                    return shared * factor[i] * factor[j]
-
-            else:
-
-                def weigh(i: int, j: int, shared: int, arcs: float) -> float:
-                    union = (
-                        (ent_ptr[i + 1] - ent_ptr[i])
-                        + (ent_ptr[j + 1] - ent_ptr[j])
-                        - shared
-                    )
-                    jaccard = shared / union if union else 0.0
-                    if ranks[i] > ranks[j]:
-                        i, j = j, i
-                    return jaccard * factor[i] * factor[j]
-
-            return weigh
-
-        if scheme == "JS":
-
-            def weigh(i: int, j: int, shared: int, arcs: float) -> float:
-                union = (
-                    (ent_ptr[i + 1] - ent_ptr[i])
-                    + (ent_ptr[j + 1] - ent_ptr[j])
-                    - shared
-                )
-                return shared / union if union else 0.0
-
-            return weigh
-
-        raise KeyError(
-            f"unknown weighting scheme {scheme!r}; available: {sorted(INDEX_WEIGHTING_SCHEMES)}"
-        )
-
-    def _weigh_vector_factory(self, scheme: str):
-        """Return ``weigh(i, neighbours, counts, arcs) -> float64 array``.
-
-        Elementwise operations replicate the scalar operand order, so the
-        vectorised weights are bit-identical to the scalar path's.
-        """
-        np = _np
 
         if scheme == "CBS":
             return lambda i, neighbours, counts, arcs: counts.astype(np.float64)
@@ -535,6 +377,10 @@ class EntityIndexEngine:
 
             return weigh
 
+        if scheme not in ("ECBS", "EJS"):
+            raise KeyError(
+                f"unknown weighting scheme {scheme!r}; available: {sorted(INDEX_WEIGHTING_SCHEMES)}"
+            )
         factors = np.asarray(self._factors(scheme))
         ranks = np.asarray(self._ranks())
 
@@ -568,9 +414,8 @@ class EntityIndexEngine:
         """Per node, its (restricted) neighbourhood and the edge weights.
 
         Yields ``(i, neighbours, weights)`` with neighbours sorted ascending;
-        nodes whose restricted neighbourhood is empty are skipped.  NumPy
-        path yields arrays, the fallback yields lists -- weights are
-        bit-identical either way.
+        nodes whose restricted neighbourhood is empty are skipped.  Both are
+        NumPy arrays.
 
         ``start``/``stop`` restrict the pass to a node-ordinal range (the
         neighbourhoods themselves still span all nodes) -- the unit of work
@@ -584,31 +429,12 @@ class EntityIndexEngine:
         if stop is None:
             stop = self.num_entities
         want_arcs = scheme == "ARCS"
-        if self._use_numpy:
-            weigh = self._weigh_vector_factory(scheme)
-            for i in range(start, stop):
-                neighbours, counts, arcs = self._gather_node(i, lower, want_arcs)
-                if len(neighbours) == 0:
-                    continue
-                yield i, neighbours, weigh(i, neighbours, counts, arcs)
-        else:
-            weigh = self._weigh_scalar_factory(scheme)
-            cbs = [0] * self.num_entities
-            arcs = [0.0] * self.num_entities if want_arcs else None
-            for i in range(start, stop):
-                touched = self._scan_node(i, cbs, arcs, lower)
-                if not touched:
-                    continue
-                if want_arcs:
-                    weights = [weigh(i, j, cbs[j], arcs[j]) for j in touched]
-                    for j in touched:
-                        cbs[j] = 0
-                        arcs[j] = 0.0
-                else:
-                    weights = [weigh(i, j, cbs[j], 0.0) for j in touched]
-                    for j in touched:
-                        cbs[j] = 0
-                yield i, touched, weights
+        weigh = self._weigh_vector_factory(scheme)
+        for i in range(start, stop):
+            neighbours, counts, arcs = self._gather_node(i, lower, want_arcs)
+            if len(neighbours) == 0:
+                continue
+            yield i, neighbours, weigh(i, neighbours, counts, arcs)
 
     # ------------------------------------------------------------------
     # pruning
@@ -666,7 +492,7 @@ class EntityIndexEngine:
             nonlocal count
             for _i, neighbours, weights in self._node_weights(scheme, lower=True):
                 count += len(neighbours)
-                yield from weights.tolist() if self._use_numpy else weights
+                yield from weights.tolist()
 
         # fsum streams over the generator: exactly rounded global mean with
         # O(1) extra memory, bit-identical to the graph engine's threshold
@@ -676,22 +502,15 @@ class EntityIndexEngine:
             return
         threshold = total / count
         retained = 0
-        if self._use_numpy:
-            np = _np
-            for i, neighbours, weights in self._node_weights(scheme, lower=True):
-                close = np.abs(weights - threshold) <= 1e-9 * np.maximum(
-                    np.abs(weights), abs(threshold)
-                )
-                keep = (weights > threshold) | (close & (weights > 0))
-                for j, weight in zip(neighbours[keep].tolist(), weights[keep].tolist()):
-                    retained += 1
-                    yield self._edge(i, j, weight)
-        else:
-            for i, neighbours, weights in self._node_weights(scheme, lower=True):
-                for j, weight in zip(neighbours, weights):
-                    if weight > threshold or (math.isclose(weight, threshold) and weight > 0):
-                        retained += 1
-                        yield self._edge(i, j, weight)
+        for i, neighbours, weights in self._node_weights(scheme, lower=True):
+            # elementwise math.isclose(weight, threshold) at its default rel_tol
+            close = np.abs(weights - threshold) <= 1e-9 * np.maximum(
+                np.abs(weights), abs(threshold)
+            )
+            keep = (weights > threshold) | (close & (weights > 0))
+            for j, weight in zip(neighbours[keep].tolist(), weights[keep].tolist()):
+                retained += 1
+                yield self._edge(i, j, weight)
         self._finish(count, retained)
 
     def _retain_cep(self, scheme: str, budget: Optional[int]) -> Iterator[WeightedEdge]:
@@ -717,15 +536,12 @@ class EntityIndexEngine:
             count += len(neighbours)
             if budget == 0:
                 continue
-            if self._use_numpy and cutoff != -math.inf:
+            if cutoff != -math.inf:
                 keep = weights >= cutoff
                 neighbours = neighbours[keep]
                 weights = weights[keep]
             id_i = ids[i]
-            for j, weight in zip(
-                neighbours.tolist() if self._use_numpy else neighbours,
-                weights.tolist() if self._use_numpy else weights,
-            ):
+            for j, weight in zip(neighbours.tolist(), weights.tolist()):
                 if weight < cutoff:
                     continue
                 id_j = ids[j]
@@ -756,31 +572,15 @@ class EntityIndexEngine:
             sums[o] / counts[o] if counts[o] else 0.0 for o in range(self.num_entities)
         ]
         retained = 0
-        if self._use_numpy:
-            np = _np
-            np_thresholds = np.asarray(thresholds)
-            for i, neighbours, weights in self._node_weights(scheme, lower=True):
-                keep_first = weights >= thresholds[i]
-                keep_second = weights >= np_thresholds[neighbours]
-                keep = (keep_first & keep_second) if reciprocal else (keep_first | keep_second)
-                keep &= weights > 0
-                for j, weight in zip(neighbours[keep].tolist(), weights[keep].tolist()):
-                    retained += 1
-                    yield self._edge(i, j, weight)
-        else:
-            for i, neighbours, weights in self._node_weights(scheme, lower=True):
-                threshold_i = thresholds[i]
-                for j, weight in zip(neighbours, weights):
-                    keep_first = weight >= threshold_i
-                    keep_second = weight >= thresholds[j]
-                    keep = (
-                        (keep_first and keep_second)
-                        if reciprocal
-                        else (keep_first or keep_second)
-                    )
-                    if keep and weight > 0:
-                        retained += 1
-                        yield self._edge(i, j, weight)
+        np_thresholds = np.asarray(thresholds)
+        for i, neighbours, weights in self._node_weights(scheme, lower=True):
+            keep_first = weights >= thresholds[i]
+            keep_second = weights >= np_thresholds[neighbours]
+            keep = (keep_first & keep_second) if reciprocal else (keep_first | keep_second)
+            keep &= weights > 0
+            for j, weight in zip(neighbours[keep].tolist(), weights[keep].tolist()):
+                retained += 1
+                yield self._edge(i, j, weight)
         self._finish(num_edges, retained)
 
     def _retain_cnp(
@@ -799,16 +599,13 @@ class EntityIndexEngine:
             total += degree
             if k <= 0:
                 continue
-            if self._use_numpy and degree > k:
+            if degree > k:
                 # pre-select on weight alone (keeping boundary ties), then let
                 # nlargest apply the exact (weight, first, second) tie-break
-                kth = _np.partition(weights, degree - k)[degree - k]
-                keep = weights >= kth
-                candidate_pairs = zip(neighbours[keep].tolist(), weights[keep].tolist())
-            elif self._use_numpy:
-                candidate_pairs = zip(neighbours.tolist(), weights.tolist())
-            else:
-                candidate_pairs = zip(neighbours, weights)
+                keep = weights >= np.partition(weights, degree - k)[degree - k]
+                neighbours = neighbours[keep]
+                weights = weights[keep]
+            candidate_pairs = zip(neighbours.tolist(), weights.tolist())
             id_i = ids[i]
             incident = []
             for j, weight in candidate_pairs:

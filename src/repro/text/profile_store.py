@@ -29,8 +29,7 @@ identifier -- e.g. after a merge replaced the description -- the stale entry is
 recomputed automatically, and :meth:`ProfileStore.invalidate` drops a single
 entry explicitly without touching the rest of the store.
 
-When NumPy is importable, :attr:`Profile.np_ids` / :attr:`Profile.np_weights`
-expose the same columns as zero-copy ``int64`` / ``float64`` views for the
+:attr:`Profile.np_ids` / :attr:`Profile.np_weights` expose the same columns as zero-copy ``int64`` / ``float64`` views for the
 vectorised scoring passes of :class:`~repro.matching.engine.MatchingEngine`.
 """
 
@@ -40,14 +39,11 @@ import math
 from array import array
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.datamodel.description import EntityDescription
 from repro.text.tokenize import token_set
 from repro.text.vectorizer import SparseVector, TfIdfVectorizer
-
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 class Profile:
@@ -69,9 +65,9 @@ class Profile:
 
     The derived views (:attr:`id_set`, :attr:`weight_map`, :attr:`np_ids`,
     :attr:`np_weights`) are built lazily and cached: only the scoring path
-    that actually runs pays for its view, so e.g. the default NumPy TF-IDF
-    pass never materialises the per-profile hash tables of the pure-Python
-    paths.
+    that actually runs pays for its view, so e.g. the batched NumPy TF-IDF
+    pass never materialises the per-profile hash tables of the single-pair
+    scorers.
     """
 
     __slots__ = (
@@ -114,7 +110,7 @@ class Profile:
     @property
     def weight_map(self) -> Optional[SparseVector]:
         """Token id -> weight as a SparseVector carrying the precomputed
-        norm, so the pure-Python cosine pass can feed it straight into
+        norm, so the single-pair cosine scorer can feed it straight into
         :func:`repro.text.vectorizer.weighted_cosine`; ``None`` in set mode."""
         if self._weight_map is None and self.weights is not None:
             self._weight_map = SparseVector(
@@ -124,22 +120,22 @@ class Profile:
 
     @property
     def np_ids(self):
-        """Zero-copy ``int64`` view of :attr:`token_ids` (NumPy only)."""
+        """Zero-copy ``int64`` view of :attr:`token_ids`."""
         if self._np_ids is None:
             if len(self.token_ids) == 0:
-                self._np_ids = _np.zeros(0, dtype=_np.int64)
+                self._np_ids = np.zeros(0, dtype=np.int64)
             else:
-                self._np_ids = _np.frombuffer(self.token_ids, dtype=_np.int64)
+                self._np_ids = np.frombuffer(self.token_ids, dtype=np.int64)
         return self._np_ids
 
     @property
     def np_weights(self):
-        """Zero-copy ``float64`` view of :attr:`weights` (NumPy only)."""
+        """Zero-copy ``float64`` view of :attr:`weights`."""
         if self._np_weights is None:
             if self.weights is None or len(self.weights) == 0:
-                self._np_weights = _np.zeros(0, dtype=_np.float64)
+                self._np_weights = np.zeros(0, dtype=np.float64)
             else:
-                self._np_weights = _np.frombuffer(self.weights, dtype=_np.float64)
+                self._np_weights = np.frombuffer(self.weights, dtype=np.float64)
         return self._np_weights
 
 

@@ -11,7 +11,7 @@ from repro.blocking import (
     SortedNeighborhoodBlocking,
     TokenBlocking,
 )
-from repro.blocking.engine import _index_propagate
+from repro.blocking.engine import _propagate_numpy, _propagate_python
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.description import EntityDescription
 
@@ -126,27 +126,28 @@ class TestIndexCleaningDetails:
         filtered = engine.clean(blocks, filtering=BlockFiltering(0.1))
         assert "a" in filtered.placed_identifiers()
 
-    @pytest.mark.parametrize("use_numpy", (None, False))
-    def test_propagation_first_block_wins_orientation(self, use_numpy):
+    # the vectorised pass, and the streaming pass that takes over at 2**31 members
+    @pytest.mark.parametrize("propagate", (_propagate_numpy, _propagate_python))
+    def test_propagation_first_block_wins_orientation(self, propagate):
         blocks = BlockCollection(
             [
                 Block("first", left_members=["l1"], right_members=["r1"]),
                 Block("second", left_members=["r1"], right_members=["l1"]),
             ]
         )
-        propagated = _index_propagate(blocks, use_numpy is None)
+        propagated = propagate(blocks)
         assert len(propagated) == 1
         block = propagated[0]
         assert block.left_members == ("l1",)
         assert block.right_members == ("r1",)
 
-    @pytest.mark.parametrize("use_numpy", (None, False))
-    def test_propagation_self_pair_raises_like_the_oracle(self, use_numpy):
+    @pytest.mark.parametrize("propagate", (_propagate_numpy, _propagate_python))
+    def test_propagation_self_pair_raises_like_the_oracle(self, propagate):
         blocks = BlockCollection(
             [Block("bad", left_members=["dup", "l2"], right_members=["dup"])]
         )
         with pytest.raises(ValueError, match="two distinct descriptions"):
-            _index_propagate(blocks, use_numpy is None)
+            propagate(blocks)
 
 
 class TestPairFastPaths:

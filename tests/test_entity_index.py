@@ -203,30 +203,6 @@ class TestEngineSelection:
         assert metablocking.last_retained_edges == 1 + len(remaining)
 
 
-class TestNumpyFallbackPath:
-    def test_forced_pure_python_path_matches(self):
-        blocks = BlockCollection(
-            [
-                Block("b0", members=["n3", "n1", "n2"]),
-                Block("b1", left_members=["n1"], right_members=["n4"]),
-                Block("b2", members=["n4", "n2"]),
-            ]
-        )
-        fast = EntityIndexEngine(blocks)
-        slow = EntityIndexEngine(blocks, use_numpy=False)
-        for weighting in WEIGHTING_SCHEMES:
-            for pruning in PRUNING_SCHEMES:
-                expected = {
-                    (e.first, e.second): e.weight
-                    for e in fast.iter_retained(weighting, pruning)
-                }
-                actual = {
-                    (e.first, e.second): e.weight
-                    for e in slow.iter_retained(weighting, pruning)
-                }
-                assert expected == actual
-
-
 class TestWeightingEdgeCaseValues:
     def test_two_member_universe(self):
         blocks = BlockCollection([Block("only", members=["x", "y"])])

@@ -30,15 +30,7 @@ from repro.iterative import IncrementalResolver
 from repro.iterative.index import IncrementalIndex
 from repro.matching import ProfileSimilarityMatcher
 
-try:
-    import numpy
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    numpy = None
-
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "incremental" / "golden_stream.json"
-
-NUMPY_MODES = [False] + ([True] if numpy is not None else [])
-
 
 # ----------------------------------------------------------------------
 # stream construction
@@ -125,14 +117,11 @@ def _representations(resolver, identifiers):
 # ----------------------------------------------------------------------
 # array-vs-oracle equivalence
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-def test_array_matches_oracle_at_every_prefix(use_numpy):
+def test_array_matches_oracle_at_every_prefix():
     descriptions = _stream_descriptions()
     matcher = ProfileSimilarityMatcher(threshold=0.5)
     oracle = IncrementalResolver(matcher, engine="object")
-    index = IncrementalIndex(
-        ProfileSimilarityMatcher(threshold=0.5), use_numpy=use_numpy
-    )
+    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
     for description in descriptions:
         expected = _arrival(oracle.add(description))
         actual = _arrival(index.add(description))
@@ -145,15 +134,12 @@ def test_array_matches_oracle_at_every_prefix(use_numpy):
     ]
 
 
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-def test_array_matches_oracle_through_removes_and_updates(use_numpy):
+def test_array_matches_oracle_through_removes_and_updates():
     descriptions = _stream_descriptions(num_entities=30, duplicates=1.8, seed=31)
     operations = _mixed_operations(descriptions)
     matcher = ProfileSimilarityMatcher(threshold=0.5)
     oracle = IncrementalResolver(matcher, engine="object")
-    index = IncrementalIndex(
-        ProfileSimilarityMatcher(threshold=0.5), use_numpy=use_numpy
-    )
+    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
     for operation in operations:
         assert _apply(index, operation) == _apply(oracle, operation)
         assert _state(index) == _state(oracle)
@@ -194,14 +180,11 @@ def test_duplicate_and_unknown_identifiers():
     assert index.cluster_of("a") == {"a"}
 
 
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-def test_resolve_is_read_only_and_matches_oracle(use_numpy):
+def test_resolve_is_read_only_and_matches_oracle():
     descriptions = _stream_descriptions(num_entities=25, seed=37)
     matcher = ProfileSimilarityMatcher(threshold=0.5)
     oracle = IncrementalResolver(matcher, engine="object")
-    index = IncrementalIndex(
-        ProfileSimilarityMatcher(threshold=0.5), use_numpy=use_numpy
-    )
+    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
     oracle.add_all(descriptions)
     index.add_all(descriptions)
     queries = descriptions[::5] + [
@@ -216,23 +199,17 @@ def test_resolve_is_read_only_and_matches_oracle(use_numpy):
 # ----------------------------------------------------------------------
 # snapshot persistence
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("save_numpy", NUMPY_MODES)
-@pytest.mark.parametrize("load_numpy", NUMPY_MODES)
-def test_snapshot_round_trip_then_continue(tmp_path, save_numpy, load_numpy):
+def test_snapshot_round_trip_then_continue(tmp_path):
     descriptions = _stream_descriptions(num_entities=30, seed=41)
     half = len(descriptions) // 2
 
-    straight = IncrementalIndex(
-        ProfileSimilarityMatcher(threshold=0.5), use_numpy=save_numpy
-    )
+    straight = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
     straight.add_all(descriptions[:half])
 
-    index = IncrementalIndex(
-        ProfileSimilarityMatcher(threshold=0.5), use_numpy=save_numpy
-    )
+    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
     index.add_all(descriptions[:half])
     index.save(tmp_path / "snap")
-    restored = IncrementalIndex.load(tmp_path / "snap", use_numpy=load_numpy)
+    restored = IncrementalIndex.load(tmp_path / "snap")
     assert _state(restored) == _state(index)
 
     # continuing to add on the restored index reproduces the straight run

@@ -31,15 +31,6 @@ from repro.progressive.scheduler import CostBenefitScheduler
 from repro.progressive.schedulers import WeightOrderScheduler
 from repro.text.vectorizer import TfIdfVectorizer
 
-try:
-    import numpy  # noqa: F401
-
-    HAS_NUMPY = True
-except ImportError:
-    HAS_NUMPY = False
-
-NUMPY_MODES = (True, False) if HAS_NUMPY else (False,)
-
 VOCABULARY = [
     "alan", "turing", "grace", "hopper", "ada", "lovelace", "london", "york",
     "mathematician", "scientist", "computing", "machine", "enigma", "compiler",
@@ -129,19 +120,17 @@ class TestBatchMatchesOracle:
             "rule-based",
         ],
     )
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_all_matcher_families(self, seed, matcher_name, use_numpy):
+    def test_all_matcher_families(self, seed, matcher_name):
         collection = _random_collection(seed)
         comparisons = _random_comparisons(collection, seed)
         matcher = _matchers(collection)[matcher_name]
         oracle = matcher.decide_all(comparisons, collection)
-        engine = MatchingEngine(matcher, engine="batch", use_numpy=use_numpy)
+        engine = MatchingEngine(matcher, engine="batch")
         assert_bit_identical(oracle, engine.decide_all(comparisons, collection))
         expected_engine = "batch" if matcher_name.startswith("profile") else "pairwise"
         assert engine.last_engine == expected_engine
 
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_clean_clean_task(self, use_numpy):
+    def test_clean_clean_task(self):
         left = _random_collection(5, size=20)
         right = EntityCollection(
             [
@@ -157,39 +146,41 @@ class TestBatchMatchesOracle:
             for b in list(right.identifiers)[:10]
         ]
         matcher = ProfileSimilarityMatcher(threshold=0.3)
-        engine = MatchingEngine(matcher, engine="batch", use_numpy=use_numpy)
+        engine = MatchingEngine(matcher, engine="batch")
         assert_bit_identical(
             matcher.decide_all(comparisons, task), engine.decide_all(comparisons, task)
         )
 
-    def test_numpy_and_python_paths_identical(self):
-        if not HAS_NUMPY:
-            pytest.skip("numpy not installed")
+    @pytest.mark.parametrize("use_tfidf", [False, True])
+    def test_single_pair_scorer_matches_the_batch_scorer(self, use_tfidf):
+        # one-pair batches (adaptive schedulers, the incremental index) skip
+        # the vectorised pass; both scorers must agree bit for bit
         collection = _random_collection(3)
         comparisons = _random_comparisons(collection, 3)
-        for matcher in (
-            ProfileSimilarityMatcher(threshold=0.3),
-            ProfileSimilarityMatcher(
-                threshold=0.25, vectorizer=TfIdfVectorizer().fit(iter(collection))
-            ),
-        ):
-            with_numpy = MatchingEngine(matcher, use_numpy=True).decide_all(
-                comparisons, collection
-            )
-            without = MatchingEngine(matcher, use_numpy=False).decide_all(
-                comparisons, collection
-            )
-            for a, b in zip(with_numpy, without):
-                assert a.similarity == b.similarity
-                assert a.is_match == b.is_match
+        vectorizer = TfIdfVectorizer().fit(iter(collection)) if use_tfidf else None
+        matcher = ProfileSimilarityMatcher(threshold=0.25, vectorizer=vectorizer)
+        batched = MatchingEngine(matcher).decide_all(comparisons, collection)
+        single = MatchingEngine(matcher)
+        for comparison, expected in zip(comparisons, batched):
+            pair = (collection[comparison.first], collection[comparison.second])
+            (decision,) = single.decide_pairs([pair])
+            assert decision.similarity == expected.similarity
+            assert decision.is_match == expected.is_match
+
+    def test_single_pair_id_set_scores_match_the_batch(self):
+        columns = [[1, 2, 3], [2, 3], [], [4], [1, 4, 5]]
+        pairs = [(a, b) for a in range(5) for b in range(5) if a < b]
+        engine = MatchingEngine(ProfileSimilarityMatcher(similarity_name="jaccard"))
+        batched = engine.score_id_set_pairs(pairs, columns, 6)
+        single = [engine.score_id_set_pairs([pair], columns, 6)[0] for pair in pairs]
+        assert single == batched
 
 
 class TestThresholdTies:
     """At an exact tie the decision is >= on both engines, bit for bit."""
 
     @pytest.mark.parametrize("use_tfidf", [False, True])
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_exact_tie_is_a_match_on_both_engines(self, use_tfidf, use_numpy):
+    def test_exact_tie_is_a_match_on_both_engines(self, use_tfidf):
         collection = _random_collection(4)
         comparisons = _random_comparisons(collection, 4, count=50)
         vectorizer = TfIdfVectorizer().fit(iter(collection)) if use_tfidf else None
@@ -205,15 +196,15 @@ class TestThresholdTies:
         for threshold in (tie, min(1.0, math.nextafter(tie, 2.0))):
             matcher = ProfileSimilarityMatcher(threshold=threshold, vectorizer=vectorizer)
             oracle = matcher.decide_all(comparisons, collection)
-            engine = MatchingEngine(matcher, use_numpy=use_numpy)
+            engine = MatchingEngine(matcher)
             assert_bit_identical(oracle, engine.decide_all(comparisons, collection))
         # sanity: the tie itself flips exactly at nextafter(threshold)
         at_tie = ProfileSimilarityMatcher(threshold=tie, vectorizer=vectorizer)
         above = ProfileSimilarityMatcher(
             threshold=math.nextafter(tie, 2.0), vectorizer=vectorizer
         )
-        tie_engine = MatchingEngine(at_tie, use_numpy=use_numpy)
-        above_engine = MatchingEngine(above, use_numpy=use_numpy)
+        tie_engine = MatchingEngine(at_tie)
+        above_engine = MatchingEngine(above)
         tie_decisions = tie_engine.decide_all(comparisons, collection)
         above_decisions = above_engine.decide_all(comparisons, collection)
         flipped = [
@@ -228,13 +219,12 @@ class TestMergedDescriptions:
     """The iterative phase compares freshly merged descriptions through the engine."""
 
     @pytest.mark.parametrize("use_tfidf", [False, True])
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_decide_pairs_on_merged_descriptions(self, use_tfidf, use_numpy):
+    def test_decide_pairs_on_merged_descriptions(self, use_tfidf):
         collection = _random_collection(7)
         descriptions = list(collection)
         vectorizer = TfIdfVectorizer().fit(iter(collection)) if use_tfidf else None
         matcher = ProfileSimilarityMatcher(threshold=0.3, vectorizer=vectorizer)
-        engine = MatchingEngine(matcher, use_numpy=use_numpy)
+        engine = MatchingEngine(matcher)
         pairs = []
         for i in range(0, 16, 2):
             merged = merge_descriptions(descriptions[i], descriptions[i + 1])
@@ -275,8 +265,7 @@ class TestMergedDescriptions:
 
 
 class TestDegenerateProfiles:
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_empty_and_stopword_only_profiles(self, use_numpy):
+    def test_empty_and_stopword_only_profiles(self):
         collection = _random_collection(8)
         degenerate = ["empty", "blank", "stopwords", "short"]
         regular = ["e000", "e001"]
@@ -293,11 +282,11 @@ class TestDegenerateProfiles:
             ),
         ):
             oracle = matcher.decide_all(comparisons, collection)
-            engine = MatchingEngine(matcher, use_numpy=use_numpy)
+            engine = MatchingEngine(matcher)
             assert_bit_identical(oracle, engine.decide_all(comparisons, collection))
         # two empty set-profiles are identical (similarity 1), empty vs
         # non-empty scores 0; both engines agree on the conventions
-        set_engine = MatchingEngine(ProfileSimilarityMatcher(threshold=0.5), use_numpy=use_numpy)
+        set_engine = MatchingEngine(ProfileSimilarityMatcher(threshold=0.5))
         decisions = {
             d.comparison.pair: d.similarity
             for d in set_engine.decide_all(comparisons, collection)
@@ -469,16 +458,6 @@ class TestGuards:
                 candidates=[Comparison("a1", "a2")],
                 engine=engine,
             )
-
-    def test_forcing_numpy_without_numpy_raises(self, monkeypatch):
-        import repro.matching.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "_np", None)
-        with pytest.raises(ValueError, match="use_numpy=True"):
-            MatchingEngine(ProfileSimilarityMatcher(), use_numpy=True)
-        # the automatic and forbidden modes still work without numpy
-        for use_numpy in (None, False):
-            MatchingEngine(ProfileSimilarityMatcher(), use_numpy=use_numpy)
 
     @pytest.mark.parametrize("engine_name", ["batch", "pairwise"])
     def test_runner_counts_and_warns_on_unresolvable_comparisons(

@@ -141,25 +141,3 @@ def test_custom_cep_budget_equivalence(seed, weighting, budget):
 def test_custom_cnp_k_equivalence(seed, weighting, k):
     blocks = random_dirty_blocks(seed)
     _assert_engines_agree(blocks, weighting, CardinalityNodePruning(k=k))
-
-
-@pytest.mark.parametrize("seed", SEEDS[:3])
-@pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
-@pytest.mark.parametrize("pruning", PRUNING_SCHEMES)
-def test_numpy_and_pure_python_paths_are_bit_identical(seed, weighting, pruning):
-    """The vectorised and fallback paths of the index engine agree exactly."""
-    blocks = random_mixed_blocks(seed)
-    vectorised = EntityIndexEngine(blocks)
-    fallback = EntityIndexEngine(blocks, use_numpy=False)
-    assert fallback._use_numpy is False
-    expected = {
-        (edge.first, edge.second): edge.weight
-        for edge in vectorised.iter_retained(weighting, pruning)
-    }
-    actual = {
-        (edge.first, edge.second): edge.weight
-        for edge in fallback.iter_retained(weighting, pruning)
-    }
-    assert expected == actual  # bit-for-bit, no tolerance
-    assert vectorised.last_num_edges == fallback.last_num_edges
-    assert vectorised.last_retained == fallback.last_retained

@@ -94,14 +94,11 @@ class TestSeedScheme:
             ]
         )
         oracle = MinHashLSHBlocking(num_bands=3, rows_per_band=2, seed=1).build(collection)
-        for use_numpy in (None, False):
-            engine = BlockingEngine(
-                MinHashLSHBlocking(num_bands=3, rows_per_band=2, seed=1),
-                engine="index",
-                use_numpy=use_numpy,
-            )
-            built = engine.build(collection)
-            assert [b.key for b in built] == [b.key for b in oracle]
+        engine = BlockingEngine(
+            MinHashLSHBlocking(num_bands=3, rows_per_band=2, seed=1), engine="index"
+        )
+        built = engine.build(collection)
+        assert [b.key for b in built] == [b.key for b in oracle]
 
 
 class TestMinHashLSHBlocking:

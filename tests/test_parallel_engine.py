@@ -168,18 +168,6 @@ class TestParallelMetaBlocking:
         assert metablocking.last_engine == "parallel"
         assert got == expected
 
-    @pytest.mark.parametrize("weighting", ("CBS", "EJS"))
-    def test_pure_python_replica(self, dirty_setup, weighting):
-        # a pure-Python driver index must get pure-Python worker replicas
-        _, _, blocks = dirty_setup
-        sequential = EntityIndexEngine(blocks, use_numpy=False)
-        expected = edges_snapshot(sequential.iter_retained(weighting, "WNP"))
-        sharded = EntityIndexEngine(blocks, use_numpy=False)
-        with ParallelEngine(num_workers=3) as par:
-            assert par.install_node_weights(sharded)
-            got = edges_snapshot(sharded.iter_retained(weighting, "WNP"))
-        assert got == expected
-
 
 class TestParallelMatching:
     @pytest.mark.parametrize("dataset", DATASETS)

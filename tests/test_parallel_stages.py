@@ -188,22 +188,6 @@ class TestParallelCleaning:
         assert blocks_snapshot(got) == blocks_snapshot(expected)
 
     @pytest.mark.parametrize("dataset", DATASETS)
-    def test_pure_python_cleaning_matches(self, request, dataset):
-        # the no-NumPy replica of the filtering/propagation passes must
-        # stay bit-identical when the pool computes the keep flags
-        _, _, blocks = _setup(request, dataset)
-        purging = BlockPurging()
-        filtering = BlockFiltering(0.8)
-        expected = BlockingEngine(use_numpy=False).clean(
-            blocks, purging=purging, filtering=filtering, propagate=True
-        )
-        with ParallelEngine(num_workers=3) as par:
-            got = BlockingEngine(use_numpy=False, parallel=par).clean(
-                blocks, purging=purging, filtering=filtering, propagate=True
-            )
-        assert blocks_snapshot(got) == blocks_snapshot(expected)
-
-    @pytest.mark.parametrize("dataset", DATASETS)
     def test_cleaning_matches_oracle_cleaners(self, request, dataset):
         # cross-check the parallel pipeline against the plain object-path
         # cleaners, not just the sequential index engine

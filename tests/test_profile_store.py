@@ -4,20 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy
 import pytest
 
 from repro.datamodel.description import EntityDescription
 from repro.text.profile_store import ProfileStore
 from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
 from repro.text.vectorizer import TfIdfVectorizer
-
-try:
-    import numpy
-
-    HAS_NUMPY = True
-except ImportError:
-    HAS_NUMPY = False
-
 
 def alan() -> EntityDescription:
     return EntityDescription("a1", {"name": "Alan Turing", "city": "London"})
@@ -110,7 +103,6 @@ class TestTfIdfModeProfiles:
         assert profile.norm == 0.0
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 class TestNumpyViews:
     def test_views_share_memory_with_columns(self):
         vectorizer = TfIdfVectorizer().fit(iter([alan(), grace()]))

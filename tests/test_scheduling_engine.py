@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-import repro.datamodel.pairs as pairs_module
 from repro.blocking.cleaning import BlockFiltering, BlockPurging
 from repro.blocking.engine import BlockingEngine
 from repro.blocking.token_blocking import TokenBlocking
@@ -38,8 +37,6 @@ from repro.progressive.schedulers import (
 from repro.progressive.sorted_list import SortedListScheduler
 from repro.progressive.hierarchy import PartitionHierarchyScheduler
 from repro.text.vectorizer import TfIdfVectorizer
-
-HAS_NUMPY = pairs_module._np is not None
 
 
 def _dataset(kind: str, seed: int):
@@ -235,12 +232,11 @@ class TestWeightTies:
             (c.pair, c.weight) for c in expected
         ]
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="needs both NumPy and fallback paths")
-    def test_weight_sorted_numpy_and_python_agree(self, monkeypatch):
+    def test_weight_sorted_matches_the_object_sort_on_shuffled_rows(self):
         data, _ = _dataset("dirty", seed=13)
         columns = _candidates(data, "columns")
         # rebuild from a shuffled row list (drops the pre-sorted marker, so
-        # both paths actually sort)
+        # the lexsort actually runs)
         rng = random.Random(1)
         order = list(range(len(columns)))
         rng.shuffle(order)
@@ -252,17 +248,11 @@ class TestWeightTies:
             array("q", (columns.second[i] for i in order)),
             array("d", (columns.weights[i] for i in order)),
         )
-        with_numpy = list(shuffled.weight_sorted())
-        monkeypatch.setattr(pairs_module, "_np", None)
-        without_numpy = list(shuffled.weight_sorted())
-        assert [(c.pair, c.weight) for c in with_numpy] == [
-            (c.pair, c.weight) for c in without_numpy
-        ]
-        # and both equal the object sort
+        got = list(shuffled.weight_sorted())
         expected = sorted(
             list(shuffled), key=lambda c: (-c.weight, c.first, c.second)
         )
-        assert [(c.pair, c.weight) for c in with_numpy] == [
+        assert [(c.pair, c.weight) for c in got] == [
             (c.pair, c.weight) for c in expected
         ]
 

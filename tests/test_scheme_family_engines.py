@@ -70,17 +70,14 @@ SEEDS = (3, 42, 97)
 
 
 def _assert_all_paths_agree(data, factory, label=""):
-    """Oracle vs index x {numpy, pure-python} x {context, none}."""
+    """Oracle vs index x {context, none}."""
     expected = snapshot(factory().build(data))
-    for use_numpy, numpy_label in ((None, "numpy"), (False, "pure-python")):
-        for with_context in (False, True):
-            context = PipelineContext(data) if with_context else None
-            engine = BlockingEngine(
-                factory(), engine="index", context=context, use_numpy=use_numpy
-            )
-            built = engine.build(data)
-            assert engine.last_engine == "index", (label, numpy_label, with_context)
-            assert snapshot(built) == expected, (label, numpy_label, with_context)
+    for with_context in (False, True):
+        context = PipelineContext(data) if with_context else None
+        engine = BlockingEngine(factory(), engine="index", context=context)
+        built = engine.build(data)
+        assert engine.last_engine == "index", (label, with_context)
+        assert snapshot(built) == expected, (label, with_context)
 
 
 @pytest.mark.parametrize("builder_name", sorted(FAMILY_BUILDERS))
@@ -103,11 +100,22 @@ def test_degenerate_inputs_bit_identity(builder_name):
     empty = EntityCollection(name="empty")
     single = EntityCollection([EntityDescription("only", {"name": "alan turing"})])
     # stop words and sub-minimum tokens only: every token column is empty
+    # (minhash hashes no column at all; every canopy centre is empty)
     blank = EntityCollection(
         [
             EntityDescription("b1", {"name": "the of a"}),
             EntityDescription("b2", {"name": "x y z"}),
             EntityDescription("b3", {}),
+        ]
+    )
+    # token-less descriptions among real ones: empty canopy centres and
+    # empty join/minhash columns next to non-empty ones
+    some_blank = EntityCollection(
+        [
+            EntityDescription("s1", {"name": "alan turing"}),
+            EntityDescription("s2", {}),
+            EntityDescription("s3", {"name": "alan turing london"}),
+            EntityDescription("s4", {"name": "the of"}),
         ]
     )
     # identical values: every sort key, signature and similarity ties
@@ -123,6 +131,7 @@ def test_degenerate_inputs_bit_identity(builder_name):
         ("empty", empty),
         ("single", single),
         ("blank-tokens", blank),
+        ("some-blank-tokens", some_blank),
         ("all-ties", ties),
         ("empty-task", empty_task),
         ("one-sided-task", one_sided),
@@ -134,11 +143,10 @@ def test_similarity_join_statistics_match_oracle():
     data = random_dirty_collection(11, size=40)
     oracle = SimilarityJoinBlocking(threshold=0.4)
     oracle.build(data)
-    for use_numpy in (None, False):
-        ported = SimilarityJoinBlocking(threshold=0.4)
-        BlockingEngine(ported, engine="index", use_numpy=use_numpy).build(data)
-        assert ported.last_candidate_count == oracle.last_candidate_count
-        assert ported.last_verified_count == oracle.last_verified_count
+    ported = SimilarityJoinBlocking(threshold=0.4)
+    BlockingEngine(ported, engine="index").build(data)
+    assert ported.last_candidate_count == oracle.last_candidate_count
+    assert ported.last_verified_count == oracle.last_verified_count
 
 
 # ----------------------------------------------------------------------
@@ -222,17 +230,13 @@ def test_golden_fixture_covers_all_families(dataset_name):
     assert set(_fixture(dataset_name)["builders"]) == set(GOLDEN_BUILDERS)
 
 
-@pytest.mark.parametrize("engine", ("oracle", "index", "index-pure-python"))
+@pytest.mark.parametrize("engine", ("oracle", "index"))
 @pytest.mark.parametrize("dataset_name", sorted(DATASETS))
 def test_engines_reproduce_family_golden_output(dataset_name, engine):
     collection = DATASETS[dataset_name]().collection
     fixture = _fixture(dataset_name)
-    use_numpy = False if engine == "index-pure-python" else None
-    engine_name = "oracle" if engine == "oracle" else "index"
     for builder_name, frozen in fixture["builders"].items():
-        blocking = BlockingEngine(
-            GOLDEN_BUILDERS[builder_name](), engine=engine_name, use_numpy=use_numpy
-        )
+        blocking = BlockingEngine(GOLDEN_BUILDERS[builder_name](), engine=engine)
         blocks = blocking.build(collection)
         assert _serialise(blocks) == frozen["blocks"], (
             f"{dataset_name}/{builder_name}/{engine}: block collection changed"

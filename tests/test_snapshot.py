@@ -1,19 +1,20 @@
 """Tests for the versioned columnar snapshot format (:mod:`repro.core.snapshot`).
 
-The format is a service interface: the pure-Python writer must emit bytes
-that NumPy's own loader accepts, both readers (``np.load`` memmap and
-``mmap`` + ``memoryview``) must see identical values, and version or
+The format is a service interface: the streaming writer must emit bytes
+that NumPy's own loader accepts, the bytes must not drift, and version or
 inventory mismatches must fail loudly instead of misreading state.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
 from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.snapshot import (
@@ -25,21 +26,13 @@ from repro.core.snapshot import (
     write_npy,
 )
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
-
-requires_numpy = pytest.mark.skipif(np is None, reason="requires numpy")
-
-
-def test_npy_round_trip_pure_python(tmp_path):
+def test_npy_round_trip(tmp_path):
     values = array("q", [0, 1, -1, 2**62, -(2**62), 42])
     path = tmp_path / "col.npy"
     write_npy(path, [values], len(values))
-    loaded = read_npy(path, use_numpy=False)
+    loaded = read_npy(path)
     assert list(loaded) == list(values)
-    # slicing and indexing work on the memoryview reader
+    # slicing and indexing work on the memory-mapped column
     assert loaded[2] == -1
     assert list(loaded[1:3]) == [1, -1]
 
@@ -47,7 +40,7 @@ def test_npy_round_trip_pure_python(tmp_path):
 def test_npy_streams_multiple_chunks(tmp_path):
     path = tmp_path / "col.npy"
     write_npy(path, [array("q", [1, 2]), array("q", []), array("q", [3])], 3)
-    assert list(read_npy(path, use_numpy=False)) == [1, 2, 3]
+    assert list(read_npy(path)) == [1, 2, 3]
 
 
 def test_npy_count_mismatch_is_an_error(tmp_path):
@@ -56,7 +49,7 @@ def test_npy_count_mismatch_is_an_error(tmp_path):
 
 
 def test_npy_data_section_is_64_byte_aligned(tmp_path):
-    # alignment is what makes memoryview.cast('q') legal on the mapped file
+    # numpy's own writer aligns the data section the same way
     path = tmp_path / "col.npy"
     write_npy(path, [array("q", [7])], 1)
     raw = path.read_bytes()
@@ -64,8 +57,7 @@ def test_npy_data_section_is_64_byte_aligned(tmp_path):
     assert header_size % 64 == 0
 
 
-@requires_numpy
-def test_numpy_reads_pure_python_bytes(tmp_path):
+def test_numpy_reads_the_writer_bytes(tmp_path):
     values = array("q", range(-5, 100))
     path = tmp_path / "col.npy"
     write_npy(path, [values], len(values))
@@ -73,15 +65,8 @@ def test_numpy_reads_pure_python_bytes(tmp_path):
     assert loaded.dtype == np.int64
     assert loaded.ndim == 1
     assert loaded.tolist() == list(values)
-    # and the memmap reader of this module agrees with the pure one
-    assert list(read_npy(path, use_numpy=True)) == list(read_npy(path, use_numpy=False))
-
-
-@requires_numpy
-def test_pure_python_reads_numpy_bytes(tmp_path):
-    path = tmp_path / "col.npy"
-    np.save(str(path), np.arange(17, dtype=np.int64))
-    assert list(read_npy(path, use_numpy=False)) == list(range(17))
+    # and so does the memory-mapped reader of this module
+    assert list(read_npy(path)) == list(values)
 
 
 def test_snapshot_directory_round_trip(tmp_path):
@@ -328,29 +313,27 @@ index.save({str(target)!r})
     assert all(name.startswith(".snap.tmp-") for name in debris)
 
 
-@requires_numpy
-def test_snapshot_bytes_identical_across_numpy_modes(tmp_path):
-    """The writer never uses NumPy, so the on-disk bytes cannot depend on it.
+#: sha256 over the (name, bytes) of every file of the snapshot below; the
+#: writer's output is a pure function of the index state, so any change to
+#: the on-disk encoding shows up here
+_PINNED_SNAPSHOT_DIGEST = "f7bb5e02e56d1ef649099eeda5e7551e3b668b5c7c748fea80fb6441aad086dc"
 
-    This pins the cross-environment compatibility story: a snapshot written
-    on a NumPy machine restores bit-identically on a pure-Python one and
-    vice versa.
-    """
+
+def test_snapshot_bytes_are_pinned(tmp_path):
     from repro.datasets import DatasetConfig, generate_dirty_dataset
     from repro.iterative.index import IncrementalIndex
     from repro.matching import ProfileSimilarityMatcher
 
     dataset = generate_dirty_dataset(DatasetConfig(num_entities=15, seed=3))
-    digests = {}
-    for use_numpy in (True, False):
-        index = IncrementalIndex(
-            ProfileSimilarityMatcher(threshold=0.5), use_numpy=use_numpy
-        )
-        for description in dataset.collection:
-            index.add(description)
-        target = tmp_path / f"snap-{use_numpy}"
-        index.save(target)
-        digests[use_numpy] = {
-            entry.name: entry.read_bytes() for entry in sorted(target.iterdir())
-        }
-    assert digests[True] == digests[False]
+    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
+    for description in dataset.collection:
+        index.add(description)
+    index.save(tmp_path / "snap")
+    digest = hashlib.sha256()
+    for name, payload in _snapshot_bytes(tmp_path / "snap").items():
+        digest.update(name.encode())
+        digest.update(payload)
+    assert digest.hexdigest() == _PINNED_SNAPSHOT_DIGEST
+    # a restored index saves back byte for byte
+    IncrementalIndex.load(tmp_path / "snap").save(tmp_path / "again")
+    assert _snapshot_bytes(tmp_path / "again") == _snapshot_bytes(tmp_path / "snap")
