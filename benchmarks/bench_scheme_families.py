@@ -22,8 +22,7 @@ are the builds' own cost, not scheduler noise.
 
 Every run writes ``benchmarks/results/BENCH_scheme_families.json`` so CI
 can archive the speedup curve; the full run (no ``REPRO_BENCH_QUICK``)
-requires every family to be at least 2x faster at 2000 entities when
-NumPy is available.
+requires every family to be at least 2x faster at 2000 entities.
 """
 
 from __future__ import annotations
@@ -41,12 +40,7 @@ try:
 except ImportError:  # pragma: no cover - Windows has no resource module
     resource = None
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI job
-    HAVE_NUMPY = False
+import numpy
 
 from benchmarks.conftest import RESULTS_DIR, save_table
 from repro.blocking import (
@@ -242,7 +236,7 @@ def test_scheme_families_old_vs_new(benchmark):
         "experiment": "BENCH_scheme_families",
         "workload": "dirty person dataset, ~2 descriptions per entity",
         "quick": quick,
-        "numpy": HAVE_NUMPY,
+        "numpy": numpy.__version__,
         "sizes": list(sizes),
         "rows": [
             {
@@ -293,6 +287,6 @@ def test_scheme_families_old_vs_new(benchmark):
     )
 
     # at scale, every ported family must clearly beat its oracle
-    if not quick and HAVE_NUMPY:
+    if not quick:
         for family, by_size in speedups.items():
             assert by_size[sizes[-1]] >= 2.0, (family, by_size)

@@ -1,7 +1,8 @@
 """Setuptools entry point.
 
-Kept alongside pyproject.toml so that editable installs work in offline
-environments without the ``wheel`` package (``pip install -e . --no-use-pep517``).
+All metadata lives in ``pyproject.toml``.  This shim only keeps the legacy
+``python setup.py develop`` route working for offline installs where the
+``wheel`` package (needed by ``pip install .``) is not available.
 """
 
 from setuptools import setup

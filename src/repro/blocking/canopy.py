@@ -130,9 +130,10 @@ def _index_build(builder: CanopyClusteringBlocking, data: ERInput, context) -> B
 
     Per centre, the intersection sizes against *every* description come from
     one pass over the centre's token postings (a shared-count accumulation,
-    vectorised as a ``bincount`` over the concatenated postings); the Jaccard values are the same ``shared / (|a| + |b| -
-    shared)`` integer divisions the oracle computes per pair, so thresholds
-    and tie behaviour agree bit-for-bit.  The shuffled centre order is
+    vectorised as a ``bincount`` over the concatenated postings); the
+    Jaccard values are the same ``shared / (|a| + |b| - shared)`` integer
+    divisions the oracle computes per pair, so thresholds and tie behaviour
+    agree bit-for-bit.  The shuffled centre order is
     identical because ``random.Random.shuffle`` permutes by position,
     regardless of the list's contents.
     """

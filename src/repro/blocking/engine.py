@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import warnings
 from array import array
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 

@@ -21,7 +21,7 @@ discard candidates whose maximum possible overlap is already too small.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 

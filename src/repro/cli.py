@@ -38,6 +38,14 @@ from repro.datasets import (
 )
 
 
+def _positive_int(text: str) -> int:
+    """``argparse`` type of counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_collection(path: str, id_field: str) -> EntityCollection:
     """Load a collection from CSV or JSON, based on the file extension."""
     suffix = Path(path).suffix.lower()
@@ -164,7 +172,7 @@ def _add_workflow_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--num-workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes of the multi-process parallel engine (default: 1 = "
         "in-process; >1 requires the shared context and produces bit-identical results)",

@@ -15,6 +15,11 @@ class WorkflowConfig:
     the workflow constructor and take precedence over the corresponding
     fields here.
 
+    Every ``*_engine`` field defaults to the NumPy array engine of its
+    stage; the alternative names the stage's reference implementation
+    (object, graph, oracle or pairwise), which produces identical output and
+    is also what custom subclasses fall back to.
+
     Attributes
     ----------
     blocking:
@@ -101,10 +106,12 @@ class WorkflowConfig:
         :mod:`repro.iterative.incremental`.
     num_workers:
         Number of worker processes of the multi-process parallel engine
-        (:class:`~repro.mapreduce.parallel.ParallelEngine`).  The default
-        ``1`` runs everything in-process; with ``num_workers > 1`` (and the
-        shared context enabled, whose columns the workers read through
-        shared memory) one engine is opened for the whole run and every
+        (:class:`~repro.mapreduce.parallel.ParallelEngine`), at least 1 --
+        :meth:`~repro.core.workflow.ERWorkflow.run` rejects smaller values
+        with :class:`ValueError`.  The default ``1`` runs everything
+        in-process; with ``num_workers > 1`` (and the shared context
+        enabled, whose columns the workers read through shared memory) one
+        engine is opened for the whole run and every
         parallelisable stage fans out to the pool: the sharded context
         interning, the blocking postings pass, the block-cleaning passes
         (purging cardinalities, filtering keep flags, comparison

@@ -200,8 +200,11 @@ class ERWorkflow:
         serial recomputation (recording per-stage counts in the result's
         ``fault_events``) or raises
         :class:`~repro.mapreduce.supervisor.WorkerFailureError`.
+        ``config.num_workers`` below 1 raises :class:`ValueError`.
         """
         config = self.config
+        if config.num_workers < 1:
+            raise ValueError(f"num_workers must be at least 1, got {config.num_workers}")
         parallel = None
         if config.num_workers > 1 and config.shared_context:
             from repro.mapreduce.parallel import ParallelEngine

@@ -360,7 +360,6 @@ class EntityIndexEngine:
         the precomputed rank column), so the weights are bit-identical to the
         graph engine's.
         """
-
         if scheme == "CBS":
             return lambda i, neighbours, counts, arcs: counts.astype(np.float64)
 
@@ -377,10 +376,6 @@ class EntityIndexEngine:
 
             return weigh
 
-        if scheme not in ("ECBS", "EJS"):
-            raise KeyError(
-                f"unknown weighting scheme {scheme!r}; available: {sorted(INDEX_WEIGHTING_SCHEMES)}"
-            )
         factors = np.asarray(self._factors(scheme))
         ranks = np.asarray(self._ranks())
 

@@ -29,8 +29,9 @@ identifier -- e.g. after a merge replaced the description -- the stale entry is
 recomputed automatically, and :meth:`ProfileStore.invalidate` drops a single
 entry explicitly without touching the rest of the store.
 
-:attr:`Profile.np_ids` / :attr:`Profile.np_weights` expose the same columns as zero-copy ``int64`` / ``float64`` views for the
-vectorised scoring passes of :class:`~repro.matching.engine.MatchingEngine`.
+:attr:`Profile.np_ids` / :attr:`Profile.np_weights` expose the same columns
+as zero-copy ``int64`` / ``float64`` views for the vectorised scoring passes
+of :class:`~repro.matching.engine.MatchingEngine`.
 """
 
 from __future__ import annotations

@@ -101,6 +101,13 @@ def test_unsupported_format_is_rejected(tmp_path):
         main(["resolve", str(bogus)])
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_num_workers_below_one_is_rejected(count, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["resolve", "x.csv", "--num-workers", count])
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_blocking_engine_flag(tmp_path, capsys):
     data = tmp_path / "dirty.csv"
     main(["generate", "--entities", "30", "--seed", "7", "--output", str(data)])

@@ -141,6 +141,8 @@ def _outcome(result):
     )
 
 
+# q-grams has no index build: both sides run the oracle build (warned once)
+@pytest.mark.filterwarnings("ignore:blocking scheme QGramsBlocking")
 @given(data=_inputs, config=_configs)
 @_FUZZ
 def test_default_engines_match_reference_engines(data, config):

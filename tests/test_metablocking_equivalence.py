@@ -29,7 +29,6 @@ import pytest
 
 from repro.blocking.base import Block, BlockCollection
 from repro.metablocking import MetaBlocking
-from repro.metablocking.entity_index import EntityIndexEngine
 from repro.metablocking.pruning import CardinalityEdgePruning, CardinalityNodePruning
 
 WEIGHTING_SCHEMES = ("CBS", "ECBS", "JS", "EJS", "ARCS")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy
-import pytest
 
 from repro.datamodel.description import EntityDescription
 from repro.text.profile_store import ProfileStore

@@ -50,6 +50,12 @@ class TestWorkflowExecution:
             results["index"].comparisons_executed == results["oracle"].comparisons_executed
         )
 
+    @pytest.mark.parametrize("num_workers", [0, -3])
+    def test_worker_counts_below_one_are_rejected(self, tiny_collection, num_workers):
+        workflow = ERWorkflow(WorkflowConfig(num_workers=num_workers))
+        with pytest.raises(ValueError, match="num_workers must be at least 1"):
+            workflow.run(tiny_collection)
+
     def test_workflow_without_ground_truth_still_runs(self, small_dirty_dataset):
         result = default_workflow().run(small_dirty_dataset.collection)
         assert result.matching_quality is None
