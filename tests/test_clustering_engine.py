@@ -90,7 +90,9 @@ def _cluster_lists(clusters):
 
 class TestSeededEquivalence:
     @pytest.mark.parametrize("kind", ["dirty", "clean_clean"])
-    @pytest.mark.parametrize("variant", ["plain", "ties", "dense", "negative", "empty", "singleton"])
+    @pytest.mark.parametrize(
+        "variant", ["plain", "ties", "dense", "negative", "empty", "singleton"]
+    )
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_array_equals_oracle(self, kind, variant, algorithm):
         """Identical clusters -- content *and* list order -- on every path."""
