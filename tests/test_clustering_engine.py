@@ -280,14 +280,15 @@ class TestExecutionOrientation:
             columns.append(intern(second), intern(first), d.similarity, d.is_match)
         return columns
 
+    @pytest.mark.parametrize("kind", ["dirty", "clean_clean"])
+    @pytest.mark.parametrize("variant", ["plain", "ties", "dense", "negative"])
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_reversed_rows_cluster_like_the_oracle(self, algorithm):
+    def test_reversed_rows_cluster_like_the_oracle(self, kind, variant, algorithm):
         for seed in (3, 27):
-            for variant in ("plain", "ties"):
-                decisions = _seeded_decisions(seed, "dirty", variant)
-                oracle = ALGORITHMS[algorithm]().cluster(decisions)
-                engine = ClusteringEngine(ALGORITHMS[algorithm](), engine="array")
-                assert engine.cluster(self._reversed_columns(decisions)) == oracle
+            decisions = _seeded_decisions(seed, kind, variant)
+            oracle = ALGORITHMS[algorithm]().cluster(decisions)
+            engine = ClusteringEngine(ALGORITHMS[algorithm](), engine="array")
+            assert engine.cluster(self._reversed_columns(decisions)) == oracle
 
     def test_mixed_orientation_tie_break(self):
         """A reversed tied edge must still break ties on the canonical pair."""

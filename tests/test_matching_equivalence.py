@@ -106,7 +106,7 @@ def assert_bit_identical(oracle_decisions, engine_decisions):
 
 
 class TestBatchMatchesOracle:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize(
         "matcher_name",
         [

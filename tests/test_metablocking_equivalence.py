@@ -2,14 +2,11 @@
 
 For seeded random block collections -- dirty, clean--clean and mixed -- every
 (weighting x pruning) combination must retain the *same comparison set* with
-the *same weights* (within 1e-9) on three execution paths:
+the *same weights* on the legacy object-graph engine (the oracle) and on the
+array entity-index engine.
 
-* the legacy object-graph engine (the oracle),
-* the entity-index engine with its NumPy fast path (when NumPy is present),
-* the entity-index engine's pure-Python fallback.
-
-The two index paths must agree bit-for-bit.  The graph engine is compared
-with a 1e-9 weight tolerance, but in practice it also matches exactly: both
+Through :class:`MetaBlocking` the weights are compared with a 1e-9
+tolerance; driven directly, the index engine must also match exactly: both
 engines compute per-edge weights with the same operand order and compute the
 WEP/WNP thresholds with :func:`math.fsum`, whose exactly rounded result is
 independent of accumulation order -- so even edges lying mathematically *on* a
@@ -29,6 +26,7 @@ import pytest
 
 from repro.blocking.base import Block, BlockCollection
 from repro.metablocking import MetaBlocking
+from repro.metablocking.entity_index import EntityIndexEngine
 from repro.metablocking.pruning import CardinalityEdgePruning, CardinalityNodePruning
 
 WEIGHTING_SCHEMES = ("CBS", "ECBS", "JS", "EJS", "ARCS")
@@ -140,3 +138,21 @@ def test_custom_cep_budget_equivalence(seed, weighting, budget):
 def test_custom_cnp_k_equivalence(seed, weighting, k):
     blocks = random_dirty_blocks(seed)
     _assert_engines_agree(blocks, weighting, CardinalityNodePruning(k=k))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
+@pytest.mark.parametrize("pruning", PRUNING_SCHEMES)
+def test_index_engine_is_bit_identical_to_the_graph_oracle(seed, weighting, pruning):
+    """The entity-index engine, driven directly, reproduces the oracle exactly."""
+    blocks = random_mixed_blocks(seed)
+    graph_mb = MetaBlocking(weighting, pruning, engine="graph")
+    expected = _retained(graph_mb, blocks)
+    engine = EntityIndexEngine(blocks)
+    actual = {
+        (edge.first, edge.second): edge.weight
+        for edge in engine.iter_retained(weighting, pruning)
+    }
+    assert actual == expected  # bit-for-bit, no tolerance
+    assert engine.last_num_edges == graph_mb.last_graph_edges
+    assert engine.last_retained == graph_mb.last_retained_edges
