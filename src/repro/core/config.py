@@ -112,12 +112,13 @@ class WorkflowConfig:
         in-process; with ``num_workers > 1`` (and the shared context
         enabled, whose columns the workers read through shared memory) one
         engine is opened for the whole run and every
-        parallelisable stage fans out to the pool: the sharded context
-        interning, the blocking postings pass, the block-cleaning passes
-        (purging cardinalities, filtering keep flags, comparison
-        propagation), the meta-blocking weight streams and retained-edge
-        emission, the weight sort of the comparison columns, the batched
-        matching scores, and the connected-components clustering.  Stages
+        parallelisable stage fans out to the pool: the blocking postings
+        pass, the block-cleaning passes (purging cardinalities, filtering
+        keep flags, comparison propagation), the meta-blocking weight
+        streams and retained-edge emission, the batched matching scores,
+        and the connected-components clustering.  Context interning and the
+        weight sort of the comparison columns run in-process at every worker
+        count.  Stages
         the workers cannot reproduce (custom subclasses, foreign
         collections, the greedy center clusterings) silently run
         in-process.  Results -- blocks, retained edges, match decisions,

@@ -62,6 +62,62 @@ from repro.text.vectorizer import TfIdfVectorizer
 ERInput = object  # EntityCollection | CleanCleanTask (kept loose to stay import-light)
 
 
+def _columns(counts: Dict[int, int]) -> Tuple[array, array]:
+    """``(sorted distinct ids, aligned counts)`` of an id -> count map."""
+    ids = sorted(counts)
+    return array("q", ids), array("q", map(counts.__getitem__, ids))
+
+
+def intern_description(
+    description: EntityDescription, token_ids: Dict[str, int], tokens: List[str]
+) -> Tuple[
+    Tuple[str, ...], Tuple[array, ...], Tuple[array, ...], Tuple[array, array], array
+]:
+    """Tokenise one description into a first-occurrence vocabulary.
+
+    ``token_ids`` maps each token to its dense id and ``tokens`` is the
+    inverse list; a token seen for the first time gets the next id, so the
+    vocabulary order is the order in which tokens first occur.  Values are
+    tokenised with ``tokenize`` in attribute insertion order, then value
+    order.  This is the one interning loop of both
+    :class:`PipelineContext` and :class:`~repro.core.growable.GrowableContext`.
+
+    Returns ``(attribute names, per-attribute sorted distinct ids, aligned
+    counts, (merged sorted distinct ids, merged counts), value-order id
+    stream)``; attributes without tokens keep empty columns.
+    """
+    names = description.attribute_names
+    attribute_counts = []
+    stream = array("q")
+    for attribute in names:
+        counts: Dict[int, int] = {}
+        for value in description.values(attribute):
+            for token in tokenize(value):
+                token_id = token_ids.get(token)
+                if token_id is None:
+                    token_id = token_ids[token] = len(tokens)
+                    tokens.append(token)
+                counts[token_id] = counts.get(token_id, 0) + 1
+                stream.append(token_id)
+        attribute_counts.append(counts)
+    columns = [_columns(counts) for counts in attribute_counts]
+    if len(columns) == 1:
+        merged = columns[0]
+    else:
+        total: Dict[int, int] = {}
+        for counts in attribute_counts:
+            for token_id, count in counts.items():
+                total[token_id] = total.get(token_id, 0) + count
+        merged = _columns(total)
+    return (
+        names,
+        tuple(ids for ids, _ in columns),
+        tuple(counts for _, counts in columns),
+        merged,
+        stream,
+    )
+
+
 class TokenFilter:
     """A (stop words, minimum length) admission mask over a context vocabulary.
 
@@ -149,8 +205,8 @@ class PipelineContext:
         self._attr_names: List[Tuple[str, ...]] = []
         self._attr_ids: List[Tuple[array, ...]] = []
         self._attr_counts: List[Tuple[array, ...]] = []
-        # per description: merged all-attribute (sorted ids, counts), built lazily
-        self._merged: List[Optional[Tuple[array, array]]] = []
+        # per description: merged all-attribute (sorted ids, counts)
+        self._merged: List[Tuple[array, array]] = []
         # per description: every token id in value order (duplicates kept)
         self._streams: List[array] = []
         self._filters: Dict[Tuple[FrozenSet[str], int], TokenFilter] = {}
@@ -163,115 +219,30 @@ class PipelineContext:
         """Whether this context was built for exactly ``data`` (identity)."""
         return data is self.data
 
-    def _collect_descriptions(self) -> List[EntityDescription]:
-        """The descriptions in interning order (left before right), side-effect:
-        records ``left_count`` for clean--clean tasks.  Does **not** mark the
-        context interned -- both the serial pass and the sharded parallel
-        build start from this exact list."""
+    def _intern_all(self) -> None:
+        if self._interned:
+            return
+        self._interned = True
         data = self.data
         if isinstance(data, CleanCleanTask):
             descriptions = list(data.left) + list(data.right)
             self.left_count = len(data.left)
         else:
             descriptions = list(data)
-        return descriptions
-
-    def _intern_all(self) -> None:
-        if self._interned:
-            return
-        self._interned = True
-        descriptions = self._collect_descriptions()
         token_ids = self._token_ids
         tokens = self._tokens
         for description in descriptions:
             self._ordinal[description.identifier] = len(self._ids)
             self._ids.append(description.identifier)
             self._descriptions.append(description)
-            names: List[str] = []
-            id_columns: List[array] = []
-            count_columns: List[array] = []
-            stream = array("q")
-            for attribute in description.attribute_names:
-                counts: Dict[int, int] = {}
-                for value in description.values(attribute):
-                    for token in tokenize(value):
-                        token_id = token_ids.get(token)
-                        if token_id is None:
-                            token_id = len(tokens)
-                            token_ids[token] = token_id
-                            tokens.append(token)
-                        counts[token_id] = counts.get(token_id, 0) + 1
-                        stream.append(token_id)
-                names.append(attribute)
-                items = sorted(counts.items())
-                id_columns.append(array("q", (t for t, _ in items)))
-                count_columns.append(array("q", (c for _, c in items)))
-            self._attr_names.append(tuple(names))
-            self._attr_ids.append(tuple(id_columns))
-            self._attr_counts.append(tuple(count_columns))
-            self._merged.append(None)
-            self._streams.append(stream)
-
-    def _intern_shards(
-        self,
-        descriptions: List[EntityDescription],
-        shards: Iterable[Tuple[List[str], list]],
-    ) -> None:
-        """Merge worker-built interning shards into this (empty) context.
-
-        Each shard covers a contiguous slice of ``descriptions`` (shards in
-        slice order) and carries a *local* vocabulary -- token strings in the
-        shard's first-occurrence order -- plus, per description, the
-        attribute names and the per-attribute local-id/count columns and the
-        local-id stream, exactly as :meth:`_intern_all` would have built them
-        with a fresh vocabulary.
-
-        The merge reassigns global ids by walking the shard vocabularies in
-        shard order and get-or-assigning each token: a token's global id is
-        therefore assigned at its global first occurrence, which reproduces
-        the serial vocabulary order byte for byte.  Per-attribute columns are
-        remapped and re-sorted by global id (the serial columns are sorted by
-        id), and streams are remapped elementwise (order preserved).
-        """
-        if self._interned:
-            raise RuntimeError("context is already interned")
-        self._interned = True
-        token_ids = self._token_ids
-        tokens = self._tokens
-        position = 0
-        for local_tokens, entries in shards:
-            remap = array("q", bytes(8 * len(local_tokens)))
-            for local_id, token in enumerate(local_tokens):
-                token_id = token_ids.get(token)
-                if token_id is None:
-                    token_id = len(tokens)
-                    token_ids[token] = token_id
-                    tokens.append(token)
-                remap[local_id] = token_id
-            for names, id_columns, count_columns, stream in entries:
-                description = descriptions[position]
-                position += 1
-                self._ordinal[description.identifier] = len(self._ids)
-                self._ids.append(description.identifier)
-                self._descriptions.append(description)
-                global_ids: List[array] = []
-                global_counts: List[array] = []
-                for ids_local, counts_local in zip(id_columns, count_columns):
-                    items = sorted(
-                        zip((remap[t] for t in ids_local), counts_local)
-                    )
-                    global_ids.append(array("q", (t for t, _ in items)))
-                    global_counts.append(array("q", (c for _, c in items)))
-                self._attr_names.append(names)
-                self._attr_ids.append(tuple(global_ids))
-                self._attr_counts.append(tuple(global_counts))
-                self._merged.append(None)
-                self._streams.append(array("q", (remap[t] for t in stream)))
-        if position != len(descriptions):
-            raise RuntimeError(
-                f"interning shards cover {position} descriptions, "
-                f"expected {len(descriptions)}"
+            names, id_columns, count_columns, merged, stream = intern_description(
+                description, token_ids, tokens
             )
+            self._attr_names.append(names)
+            self._attr_ids.append(id_columns)
+            self._attr_counts.append(count_columns)
+            self._merged.append(merged)
+            self._streams.append(stream)
 
     @property
     def num_descriptions(self) -> int:
@@ -366,28 +337,11 @@ class PipelineContext:
     def token_counts(self, ordinal: int) -> Tuple[array, array]:
         """All-attribute ``(sorted distinct ids, aligned occurrence counts)``.
 
-        The merge over the per-attribute columns is computed once per
-        description and cached; the counts are exactly the ones
-        ``TfIdfVectorizer.transform`` derives from the raw values.
+        The counts are exactly the ones ``TfIdfVectorizer.transform`` derives
+        from the raw values.
         """
         self._intern_all()
-        merged = self._merged[ordinal]
-        if merged is None:
-            id_columns = self._attr_ids[ordinal]
-            if len(id_columns) == 1:
-                merged = (id_columns[0], self._attr_counts[ordinal][0])
-            else:
-                counts: Dict[int, int] = {}
-                for ids, column in zip(id_columns, self._attr_counts[ordinal]):
-                    for token_id, count in zip(ids, column):
-                        counts[token_id] = counts.get(token_id, 0) + count
-                items = sorted(counts.items())
-                merged = (
-                    array("q", (t for t, _ in items)),
-                    array("q", (c for _, c in items)),
-                )
-            self._merged[ordinal] = merged
-        return merged
+        return self._merged[ordinal]
 
     # ------------------------------------------------------------------
     # TF-IDF fitting from the interned postings

@@ -19,11 +19,11 @@ processes).  This module provides the two pieces:
   ``_tokens`` and ``vocabulary_size``, both of which this class provides),
   so stop-word masks keep extending lazily as the vocabulary grows.
 
-Tokenisation follows ``PipelineContext._intern_all`` to the letter --
-``tokenize`` over each attribute's values in insertion order, first-touch
-vocabulary ids, sorted distinct (id, count) columns -- so a record interned
-here produces the same per-record token structure the batch pipeline would
-build for it.
+Both contexts intern through the same kernel,
+:func:`~repro.core.context.intern_description` -- ``tokenize`` over each
+attribute's values in insertion order, first-touch vocabulary ids, sorted
+distinct (id, count) columns -- so a record interned here produces the same
+per-record token structure the batch pipeline would build for it.
 
 Identifiers may be *re-bound*: removing a record from an index and adding a
 revised description appends a fresh ordinal and points the identifier at it;
@@ -36,10 +36,9 @@ from __future__ import annotations
 from array import array
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.context import TokenFilter
+from repro.core.context import TokenFilter, intern_description
 from repro.core.snapshot import SnapshotReader, SnapshotWriter
 from repro.datamodel.description import EntityDescription
-from repro.text.tokenize import tokenize
 
 __all__ = ["GrowableColumn", "GrowableContext"]
 
@@ -82,8 +81,17 @@ class GrowableColumn:
         self._length += 1
 
     def extend(self, values: Iterable[int]) -> None:
-        for value in values:
-            self.append(value)
+        if not isinstance(values, array):
+            values = array("q", values)
+        chunks = self._chunks
+        start = 0
+        while start < len(values):
+            if not chunks or len(chunks[-1]) >= self.chunk_size:
+                chunks.append(array("q"))
+            stop = start + self.chunk_size - len(chunks[-1])
+            chunks[-1].extend(values[start:stop])
+            start = stop
+        self._length += len(values)
 
     def __getitem__(self, index: int) -> int:
         if index < 0 or index >= self._length:
@@ -223,35 +231,28 @@ class GrowableContext:
         ordinal = len(self._ids)
         self._ordinal[description.identifier] = ordinal
         self._ids.append(description.identifier)
-        token_ids = self._vocab_map()
-        tokens = self._tokens
+        names, id_columns, count_columns, merged, _stream = intern_description(
+            description, self._vocab_map(), self._tokens
+        )
         attr_ids = self._attr_map()
-        merged: Dict[int, int] = {}
-        for attribute in description.attribute_names:
-            counts: Dict[int, int] = {}
-            for value in description.values(attribute):
-                for token in tokenize(value):
-                    token_id = token_ids.get(token)
-                    if token_id is None:
-                        token_id = len(tokens)
-                        token_ids[token] = token_id
-                        tokens.append(token)
-                    counts[token_id] = counts.get(token_id, 0) + 1
-                    merged[token_id] = merged.get(token_id, 0) + 1
+        slot_ids = array("q")
+        slot_counts = array("q")
+        offset = len(self._slot_token_ids)
+        for attribute, ids, counts in zip(names, id_columns, count_columns):
             attr_id = attr_ids.get(attribute)
             if attr_id is None:
                 attr_id = len(self._attr_names)
                 attr_ids[attribute] = attr_id
                 self._attr_names.append(attribute)
             self._slot_attr.append(attr_id)
-            for token_id, count in sorted(counts.items()):
-                self._slot_token_ids.append(token_id)
-                self._slot_token_counts.append(count)
-            self._slot_token_ptr.append(len(self._slot_token_ids))
+            slot_ids += ids
+            slot_counts += counts
+            self._slot_token_ptr.append(offset + len(slot_ids))
+        self._slot_token_ids.extend(slot_ids)
+        self._slot_token_counts.extend(slot_counts)
         self._record_slot_ptr.append(len(self._slot_attr))
-        for token_id, count in sorted(merged.items()):
-            self._token_ids_column.append(token_id)
-            self._token_counts_column.append(count)
+        self._token_ids_column.extend(merged[0])
+        self._token_counts_column.extend(merged[1])
         self._token_ptr.append(len(self._token_ids_column))
         return ordinal
 

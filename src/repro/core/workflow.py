@@ -19,6 +19,7 @@ Finally the declared matches are clustered into equivalence clusters.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
@@ -339,15 +340,6 @@ class ERWorkflow:
         # shared columnar context: the collection is interned exactly once
         # and every phase derives its token view from the shared columns
         context = PipelineContext(data) if config.shared_context else None
-        if parallel is not None and context is not None:
-            start = time.perf_counter()
-            if parallel.intern_context(context):
-                report.add_stage(
-                    "interning@parallel",
-                    descriptions=context.num_descriptions,
-                    tokens=context.vocabulary_size,
-                    seconds=time.perf_counter() - start,
-                )
 
         # ---------------- blocking ----------------
         start = time.perf_counter()
@@ -634,8 +626,9 @@ def default_workflow(budget: Optional[int] = None, **overrides) -> ERWorkflow:
     overrides are applied to the underlying :class:`WorkflowConfig`.
     """
     config = WorkflowConfig(budget=budget)
+    field_names = {field.name for field in dataclasses.fields(WorkflowConfig)}
     for key, value in overrides.items():
-        if not hasattr(config, key):
+        if key not in field_names:
             raise AttributeError(f"WorkflowConfig has no field {key!r}")
         setattr(config, key, value)
     return ERWorkflow(config)

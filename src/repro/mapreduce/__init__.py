@@ -13,14 +13,14 @@ actual wall-clock speedup on multi-core machines:
   meta-blocking CSR index by contiguous entity-ordinal ranges
   (:func:`~repro.mapreduce.balancing.contiguous_partitions` balances the
   ranges by per-entity cost) and runs every parallelisable workflow stage
-  in ``multiprocessing`` workers: the sharded context interning (local
-  vocabularies merged in range order), the blocking postings pass, the
+  in ``multiprocessing`` workers: the blocking postings pass, the
   block-cleaning passes (purging cardinalities, filtering keep flags,
   comparison propagation), the meta-blocking node-weight streams and
-  per-node retained-edge emission for all pruning schemes, the weight sort
-  of the comparison columns (per-shard argsort + driver k-way merge), the
-  batched matching scores, and the connected-components clustering
-  (per-shard union--find merged in first-touch order);
+  per-node retained-edge emission for all pruning schemes, the batched
+  matching scores, and the connected-components clustering (per-shard
+  union--find merged in first-touch order); context interning and the
+  weight sort of the comparison columns always run on the driver, because
+  their pooled versions were slower than the serial ones;
 * the columns cross the process boundary through
   :class:`~repro.mapreduce.shm.ColumnSegment` shared memory -- workers
   attach zero-copy and only the small per-partition result columns are

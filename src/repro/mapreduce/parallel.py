@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.unionfind import IntUnionFind
-from repro.datamodel.pairs import ComparisonColumns, canonical_pair, identifier_ranks
+from repro.datamodel.pairs import canonical_pair, identifier_ranks
 from repro.mapreduce import shm, worker
 from repro.mapreduce.balancing import contiguous_partitions
 from repro.mapreduce.shm import ColumnSegment, SegmentSpec
@@ -95,7 +95,7 @@ class ParallelEngine:
     The engine is handed to :class:`~repro.blocking.engine.BlockingEngine`,
     :class:`~repro.metablocking.pipeline.MetaBlocking` and
     :class:`~repro.matching.engine.MatchingEngine` via their ``parallel``
-    parameters; they call back into the three public stage methods below.
+    parameters; they call back into the public stage methods below.
     Always :meth:`close` the engine (or use ``with``): that terminates the
     pool and unlinks every shared-memory segment.  Per-stage retry/degrade
     counters accumulate in :attr:`fault_stats`.
@@ -288,40 +288,15 @@ class ParallelEngine:
     # context interning
     # ------------------------------------------------------------------
     def intern_context(self, context) -> bool:
-        """Build ``context``'s interned columns with the pool (sharded interning).
+        """Decline to intern ``context``; always returns ``False``.
 
-        Workers tokenise contiguous description ranges into local
-        vocabularies; the driver merges the shard vocabularies in range order
-        (get-or-assign reproduces the serial first-occurrence id order) and
-        remaps the per-attribute columns and streams, so ordinals, vocabulary
-        order and every column are byte-identical to the serial
-        ``_intern_all`` pass.  Returns ``False`` -- leaving the context to
-        intern itself serially -- when there is nothing to shard (an already
-        interned or near-empty context).
+        ``False`` leaves the context to intern itself serially on first use.
+        Pooled interning was removed because it ran slower than the serial
+        pass.  The stub remains only because the benchmark re-drive
+        (``perfbench/redrive.py``) calls it; it is deleted together with
+        that call.
         """
-        if context is None or context._interned:
-            return False
-        descriptions = context._collect_descriptions()
-        if len(descriptions) < 2:
-            return False
-        payloads = []
-        costs = []
-        for description in descriptions:
-            attributes = tuple(
-                (attribute, description.values(attribute))
-                for attribute in description.attribute_names
-            )
-            payloads.append(attributes)
-            costs.append(
-                1 + sum(len(value) for _, values in attributes for value in values)
-            )
-        tasks = [
-            (payloads[start:stop],)
-            for start, stop in contiguous_partitions(costs, self.num_workers)
-        ]
-        shards = self._run(worker.intern_descriptions_job, tasks, "interning")
-        context._intern_shards(descriptions, shards)
-        return True
+        return False
 
     # ------------------------------------------------------------------
     # blocking
@@ -743,75 +718,6 @@ class ParallelEngine:
         total = array("q")
         total.frombytes(accumulated.tobytes())
         index_engine._degree_cache = (total, num_edges)
-
-    # ------------------------------------------------------------------
-    # comparison columns
-    # ------------------------------------------------------------------
-    def weight_sort(self, columns):
-        """``columns.weight_sorted()`` with pooled per-shard sorting.
-
-        Row ranges are argsorted by the full ``(-weight, rank(first),
-        rank(second))`` key in the workers, and the driver k-way merges the
-        shard orders (heap merge over the same key, with the absolute row
-        index as the final stability tie-break).  The resulting permutation
-        -- and therefore the output columns -- is identical to the
-        sequential sort's.  Returns ``None`` when there is nothing to sort
-        (the caller falls back to :meth:`ComparisonColumns.weight_sorted`).
-        """
-        n = len(columns)
-        if n <= 1 or columns.weight_ordered:
-            return None
-        rank_column = array("q")
-        _extend_int64(rank_column, identifier_ranks(columns.ids))
-        exported = {
-            "rank": ("q", rank_column),
-            "first": ("q", columns.first),
-            "second": ("q", columns.second),
-        }
-        has_weights = columns.weights is not None
-        if has_weights:
-            exported["weights"] = ("d", columns.weights)
-        segment = self._segment(exported)
-        tasks = [
-            (segment.spec, has_weights, start, stop)
-            for start, stop in contiguous_partitions([1] * n, self.num_workers)
-        ]
-        shards = self._run(worker.weight_sort_job, tasks, "weight_sort")
-        first = columns.first
-        second = columns.second
-        weights = columns.weights
-        rank = rank_column
-
-        def keyed(shard):
-            # the trailing row index only decides full-key ties: within a
-            # shard indices ascend (stable shard sort) and across shards the
-            # earlier shard holds the smaller indices, so it reproduces the
-            # sequential sort's stability exactly
-            if has_weights:
-                for i in shard:
-                    yield (-weights[i], rank[first[i]], rank[second[i]], i)
-            else:
-                for i in shard:
-                    yield (rank[first[i]], rank[second[i]], i)
-
-        sorted_first = array("q")
-        sorted_second = array("q")
-        sorted_weights = array("d") if has_weights else None
-        for row in heapq.merge(*(keyed(shard) for shard in shards)):
-            i = row[-1]
-            sorted_first.append(first[i])
-            sorted_second.append(second[i])
-            if has_weights:
-                sorted_weights.append(weights[i])
-        return ComparisonColumns(
-            columns.ids,
-            sorted_first,
-            sorted_second,
-            sorted_weights,
-            descriptions=columns.descriptions,
-            distinct=columns.distinct,
-            weight_ordered=True,
-        )
 
     # ------------------------------------------------------------------
     # clustering

@@ -247,12 +247,6 @@ class MetaBlocking:
         columns = ComparisonColumns(
             ids, first, second, weights, descriptions=descriptions, distinct=True
         )
-        if parallel is not None:
-            # pooled per-shard argsort + driver k-way merge; identical
-            # permutation (tie order included) to the sequential sort
-            pooled = parallel.weight_sort(columns)
-            if pooled is not None:
-                return pooled
         return columns.weight_sorted()
 
     def process(

@@ -88,13 +88,11 @@ CONFIG_OVERRIDES = {
 }
 
 STAGE_TO_CONFIG = {
-    "interning": "default",
     "postings": "default",
     "cardinalities": "default",
     "filtering": "default",
     "wnp_stats": "default",
     "wnp_emit": "default",
-    "weight_sort": "default",
     "clustering": "default",
     "scoring": "default",
     "wep_stats": "wep",
@@ -162,7 +160,7 @@ class TestWorkflowKillMatrix:
         assert _result_fingerprint(result) == baselines["default"]
         assert_no_orphans()
 
-    @pytest.mark.parametrize("stage", ("interning", "wnp_emit"))
+    @pytest.mark.parametrize("stage", ("postings", "wnp_emit"))
     def test_straggler_worker_changes_nothing(self, small_dirty_dataset, baselines, stage):
         # a delayed worker needs no recovery at all -- and must not get any
         result = _run_faulted(

@@ -3,11 +3,11 @@
 ``tests/test_parallel_engine.py`` covers the original pooled stages
 (blocking postings, meta-blocking node weights, matching scores); this
 module sweeps the stages added for the multi-core end-to-end workflow --
-sharded context interning, the block-cleaning passes (purging, filtering,
-comparison propagation), the parametrised pruning schemes (explicit CEP
-budgets and CNP ``k`` values, the reciprocal variants), the pooled weight
-sort of the comparison columns and the per-shard union--find clustering --
-each at 1/2/4/8 workers against the sequential engines, plus the
+the block-cleaning passes (purging, filtering, comparison propagation), the
+parametrised pruning schemes (explicit CEP budgets and CNP ``k`` values, the
+reciprocal variants), the weight-sorted comparison columns of a pooled run
+and the per-shard union--find clustering -- each at 1/2/4/8 workers against
+the sequential engines, plus the declining ``intern_context`` stub and the
 ``contiguous_partitions`` edge cases the balancing layer must survive
 (all-zero costs, one hot entity dominating the prefix sums, more workers
 than items, empty input).
@@ -130,45 +130,20 @@ class TestContiguousPartitionsEdgeCases:
             assert all(start == stop for start, stop in parts)
 
 
-class TestParallelInterning:
-    @pytest.mark.parametrize("dataset", DATASETS)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_interned_columns_bit_identical(self, request, dataset, workers):
-        data, _, _ = _setup(request, dataset)
+class TestInternContextStub:
+    def test_declines_and_context_interns_serially(self, dirty_setup):
+        data, _, _ = dirty_setup
         serial = PipelineContext(data)
         serial._intern_all()
-        sharded = PipelineContext(data)
-        with ParallelEngine(num_workers=workers) as par:
-            assert par.intern_context(sharded)
-        assert sharded._interned
-        assert sharded._ids == serial._ids
-        assert sharded._ordinal == serial._ordinal
-        assert sharded._descriptions == serial._descriptions
-        assert sharded.left_count == serial.left_count
-        # the vocabulary must reproduce the serial first-occurrence order,
-        # not just the same token set: every downstream ordinal depends on it
-        assert sharded._tokens == serial._tokens
-        assert sharded._token_ids == serial._token_ids
-        assert sharded._attr_names == serial._attr_names
-        assert sharded._attr_ids == serial._attr_ids
-        assert sharded._attr_counts == serial._attr_counts
-        assert sharded._streams == serial._streams
-
-    def test_already_interned_context_is_refused(self, dirty_setup):
-        data, _, _ = dirty_setup
         context = PipelineContext(data)
-        context._intern_all()
         with ParallelEngine(num_workers=2) as par:
-            assert not par.intern_context(context)
-
-    def test_near_empty_context_falls_back(self, tiny_collection):
-        single = PipelineContext(
-            type(tiny_collection)(list(tiny_collection)[:1], name="one")
-        )
-        with ParallelEngine(num_workers=2) as par:
-            assert not par.intern_context(single)
-        # the refusal leaves the context usable: it interns itself serially
-        assert single.num_descriptions == 1
+            assert par.intern_context(context) is False
+        assert not context._interned
+        # the declined context interns itself on first use, as the serial one
+        assert context.num_descriptions == serial.num_descriptions
+        assert context._tokens == serial._tokens
+        assert context._attr_ids == serial._attr_ids
+        assert context._streams == serial._streams
 
 
 class TestParallelCleaning:

@@ -1,10 +1,12 @@
 """Tests for the shared columnar pipeline context.
 
-Covers three guarantees: the derived token views (blocking keys, TF-IDF fit,
-matching profiles) are bit-identical to the per-stage tokenising paths; a
-full ``ERWorkflow.run`` with the shared context produces exactly the output
-of the per-stage-store run; and -- the single-interning guarantee -- a
-default workflow run tokenises every attribute value exactly once.
+Covers four guarantees: a :class:`GrowableContext` fed record by record
+interns exactly as the batch context does; the derived token views
+(blocking keys, TF-IDF fit, matching profiles) are bit-identical to the
+per-stage tokenising paths; a full ``ERWorkflow.run`` with the shared
+context produces exactly the output of the per-stage-store run; and -- the
+single-interning guarantee -- a default workflow run tokenises every
+attribute value exactly once.
 """
 
 import importlib
@@ -22,6 +24,7 @@ from repro.blocking.token_blocking import (
 )
 from repro.core.config import WorkflowConfig
 from repro.core.context import PipelineContext
+from repro.core.growable import GrowableContext
 from repro.core.workflow import ERWorkflow, default_workflow
 from repro.datasets import (
     DatasetConfig,
@@ -86,6 +89,35 @@ class TestContextStructure:
             ids, counts = context.token_counts(ordinal)
             got = {context.token(t): c for t, c in zip(ids, counts)}
             assert got == expected
+
+
+class TestGrowableContextAgreement:
+    """The batch and the growable context intern through one kernel."""
+
+    @staticmethod
+    def _entries(context, ordinal):
+        return [
+            (name, list(ids), list(counts))
+            for name, ids, counts in context.attribute_entries(ordinal)
+        ]
+
+    @pytest.mark.parametrize("kind", ("dirty", "clean_clean"))
+    def test_record_by_record_equals_batch(self, dirty, clean_clean, kind):
+        data = dirty.collection if kind == "dirty" else clean_clean.task
+        batch = PipelineContext(data)
+        growable = GrowableContext()
+        for description in batch.descriptions:
+            growable.add_record(description)
+        assert growable.ids == batch.ids
+        # vocabulary order, not just the token set: ids are positions in it
+        assert [growable.token(t) for t in range(growable.vocabulary_size)] == [
+            batch.token(t) for t in range(batch.vocabulary_size)
+        ]
+        for ordinal in range(batch.num_descriptions):
+            assert self._entries(growable, ordinal) == self._entries(batch, ordinal)
+            ids, counts = batch.token_counts(ordinal)
+            assert list(growable.token_ids_of(ordinal)) == list(ids)
+            assert list(growable.token_counts_of(ordinal)) == list(counts)
 
 
 class TestDerivedViews:

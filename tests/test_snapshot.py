@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.growable import GrowableColumn
 from repro.core.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     SnapshotError,
@@ -41,6 +42,25 @@ def test_npy_streams_multiple_chunks(tmp_path):
     path = tmp_path / "col.npy"
     write_npy(path, [array("q", [1, 2]), array("q", []), array("q", [3])], 3)
     assert list(read_npy(path)) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("base", (None, array("q", [9, 8, 7])))
+def test_growable_column_extend_equals_appends(base):
+    # extends that fill, cross and exactly end on chunk boundaries must lay
+    # out the same chunks as appending one value at a time
+    extended = GrowableColumn(base, chunk_size=4)
+    appended = GrowableColumn(base, chunk_size=4)
+    for size in (3, 1, 6, 0, 4, 9, 2):
+        values = array("q", range(size))
+        extended.extend(values)
+        for value in values:
+            appended.append(value)
+    assert len(extended) == len(appended)
+    assert [list(chunk) for chunk in extended.chunks()] == [
+        list(chunk) for chunk in appended.chunks()
+    ]
+    assert [extended[i] for i in range(len(extended))] == list(appended)
+    assert list(extended.view(2, 20)) == list(appended.view(2, 20))
 
 
 def test_npy_count_mismatch_is_an_error(tmp_path):

@@ -19,8 +19,10 @@ class TestWorkflowConfig:
         assert "iterative-merging" in description
 
     def test_default_workflow_rejects_unknown_overrides(self):
-        with pytest.raises(AttributeError):
-            default_workflow(nonexistent_option=True)
+        # a method of WorkflowConfig (``describe``) is an attribute, not a field
+        for name in ("nonexistent_option", "describe"):
+            with pytest.raises(AttributeError):
+                default_workflow(**{name: True})
 
 
 class TestWorkflowExecution:
