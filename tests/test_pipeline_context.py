@@ -1,7 +1,9 @@
 """Tests for the shared columnar pipeline context.
 
-Covers four guarantees: a :class:`GrowableContext` fed record by record
-interns exactly as the batch context does; the derived token views
+Covers five guarantees: the interning kernel ``intern_description`` builds
+a first-occurrence vocabulary with sorted per-attribute and merged count
+columns and a value-order stream; a :class:`GrowableContext` fed record by
+record interns exactly as the batch context does; the derived token views
 (blocking keys, TF-IDF fit, matching profiles) are bit-identical to the
 per-stage tokenising paths; a full ``ERWorkflow.run`` with the shared
 context produces exactly the output of the per-stage-store run; and -- the
@@ -23,9 +25,10 @@ from repro.blocking.token_blocking import (
     TokenBlocking,
 )
 from repro.core.config import WorkflowConfig
-from repro.core.context import PipelineContext
+from repro.core.context import PipelineContext, intern_description
 from repro.core.growable import GrowableContext
 from repro.core.workflow import ERWorkflow, default_workflow
+from repro.datamodel.description import EntityDescription
 from repro.datasets import (
     DatasetConfig,
     generate_clean_clean_task,
@@ -89,6 +92,80 @@ class TestContextStructure:
             ids, counts = context.token_counts(ordinal)
             got = {context.token(t): c for t, c in zip(ids, counts)}
             assert got == expected
+
+
+class TestInternDescription:
+    """The one tokenise-and-intern kernel, on hand-made descriptions."""
+
+    @staticmethod
+    def _intern(attributes, token_ids=None, tokens=None):
+        token_ids = {} if token_ids is None else token_ids
+        tokens = [] if tokens is None else tokens
+        names, ids, counts, (merged_ids, merged_counts), stream = intern_description(
+            EntityDescription("e", attributes), token_ids, tokens
+        )
+        return (
+            names,
+            [list(column) for column in ids],
+            [list(column) for column in counts],
+            (list(merged_ids), list(merged_counts)),
+            list(stream),
+        )
+
+    def test_vocabulary_follows_first_occurrence(self):
+        token_ids, tokens = {}, []
+        self._intern(
+            {"title": ["Red red fox", "fox"], "year": "1999 red"}, token_ids, tokens
+        )
+        assert tokens == ["red", "fox", "1999"]
+        assert token_ids == {"red": 0, "fox": 1, "1999": 2}
+
+    def test_known_tokens_keep_their_ids(self):
+        token_ids, tokens = {"fox": 0, "owl": 1}, ["fox", "owl"]
+        _, ids, _, _, stream = self._intern({"title": "red fox"}, token_ids, tokens)
+        assert tokens == ["fox", "owl", "red"]
+        assert token_ids["red"] == 2
+        assert stream == [2, 0]
+        assert ids == [[0, 2]]
+
+    def test_attribute_columns_are_sorted_with_aligned_counts(self):
+        names, ids, counts, _, _ = self._intern(
+            {"title": ["Red red fox", "fox"], "year": "1999 red"}
+        )
+        assert names == ("title", "year")
+        assert ids == [[0, 1], [0, 2]]
+        assert counts == [[2, 2], [1, 1]]
+
+    def test_merged_columns_sum_over_attributes(self):
+        _, _, _, merged, _ = self._intern(
+            {"title": ["Red red fox", "fox"], "year": "1999 red"}
+        )
+        assert merged == ([0, 1, 2], [3, 2, 1])
+
+    def test_single_attribute_merged_equals_its_column(self):
+        _, ids, counts, merged, _ = self._intern({"title": "b a b"})
+        assert merged == (ids[0], counts[0]) == ([0, 1], [2, 1])
+
+    def test_stream_keeps_duplicates_in_value_order(self):
+        _, _, _, _, stream = self._intern(
+            {"title": ["Red red fox", "fox"], "year": "1999 red"}
+        )
+        assert stream == [0, 0, 1, 1, 2, 0]
+
+    def test_attribute_without_tokens_keeps_empty_columns(self):
+        names, ids, counts, merged, stream = self._intern(
+            {"title": "fox", "blank": "--", "year": "fox"}
+        )
+        assert names == ("title", "blank", "year")
+        assert ids == [[0], [], [0]]
+        assert counts == [[1], [], [1]]
+        assert merged == ([0], [2])
+        assert stream == [0, 0]
+
+    def test_description_without_attributes(self):
+        token_ids, tokens = {}, []
+        assert self._intern({}, token_ids, tokens) == ((), [], [], ([], []), [])
+        assert token_ids == {} and tokens == []
 
 
 class TestGrowableContextAgreement:
