@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.core import ERWorkflow, WorkflowConfig
+from repro.core.workflow import _BLOCKING_FACTORIES, _SCHEDULER_FACTORIES
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datasets import (
     DatasetConfig,
@@ -117,9 +118,8 @@ def _add_workflow_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--blocking",
         default="token",
-        help="blocking scheme (default: token; also: attribute_clustering, "
-        "prefix_infix_suffix, qgrams, standard, sorted_neighborhood, "
-        "extended_sorted_neighborhood, similarity_join, minhash_lsh, canopy)",
+        choices=sorted(_BLOCKING_FACTORIES),
+        help="blocking scheme (default: token)",
     )
     parser.add_argument(
         "--blocking-engine",
@@ -137,7 +137,12 @@ def _add_workflow_arguments(parser: argparse.ArgumentParser) -> None:
         choices=["index", "graph"],
         help="meta-blocking engine: array-backed streaming (index) or legacy object graph",
     )
-    parser.add_argument("--scheduler", default="weight_order", help="progressive scheduler")
+    parser.add_argument(
+        "--scheduler",
+        default="weight_order",
+        choices=sorted(_SCHEDULER_FACTORIES),
+        help="progressive scheduler (default: weight_order)",
+    )
     parser.add_argument(
         "--scheduling-engine",
         default="array",

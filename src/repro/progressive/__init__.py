@@ -35,7 +35,8 @@ behind a two-engine interface,
 :class:`~repro.progressive.engine.SchedulingEngine`:
 
 * ``engine="array"`` (the workflow default) runs the feedback-free library
-  schedulers -- weight-ordered, static-order, random-order, sorted-list and
+  schedulers -- weight-ordered, static-order, random-order, sorted-list,
+  partition-hierarchy (restricted to block or column candidates) and
   progressive-block (with promotion disabled) -- over flat ordinal/weight
   arrays: meta-blocking hands its retained edges over as
   :class:`~repro.datamodel.pairs.ComparisonColumns` (one identifier table
@@ -55,7 +56,9 @@ custom :class:`~repro.progressive.schedulers.ProgressiveScheduler`
 implementations and subclasses of the native types always run on the object
 path, whatever engine is configured: their order may depend on match
 feedback or overridden behaviour that an up-front array order cannot
-represent.  Both engines produce bit-identical schedules -- the same
+represent.  The partition hierarchy also stays on the object path when it
+defines the candidates itself (``restrict_to_candidates=False`` or no
+candidates) or receives a plain comparison list.  Both engines produce bit-identical schedules -- the same
 comparisons in the same order (including order under weight ties), hence
 the same matches and the same progressive recall curve -- so swapping them
 never changes a workflow's output, only its speed.

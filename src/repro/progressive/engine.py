@@ -27,7 +27,14 @@ two-engine pattern of the blocking, meta-blocking and matching phases:
     with the candidate-restriction set held as packed integer codes;
   - :class:`~repro.progressive.psnm.ProgressiveBlockScheduler` with
     ``promote_on_match=False`` (its feedback hook then never fires) emits
-    block-ordered pairs with integer-coded first-occurrence deduplication.
+    block-ordered pairs with integer-coded first-occurrence deduplication;
+  - :class:`~repro.progressive.hierarchy.PartitionHierarchyScheduler` with
+    ``restrict_to_candidates=True`` over blocks or columns works from the
+    candidates instead of the partitions: every distinct candidate pair is
+    placed at the deepest level where both sorting-key prefixes agree, and
+    one ``lexsort`` on (level, partition size, partition prefix, first,
+    second) reproduces the generator's order.  Without the restriction (or
+    without candidates, or with a plain comparison list) it falls back.
 
   The scheduled rows feed
   :meth:`~repro.matching.engine.MatchingEngine.decide_pairs` directly in
@@ -40,20 +47,24 @@ two-engine pattern of the blocking, meta-blocking and matching phases:
   oracle of the equivalence suite (``tests/test_scheduling_engine.py``).
 
 Schedulers that adapt to match feedback (progressive sorted neighbourhood,
-the cost--benefit scheduler, progressive blocking with promotion) and custom
+the cost--benefit scheduler, progressive blocking with promotion), custom
 :class:`~repro.progressive.schedulers.ProgressiveScheduler` implementations
-fall back to the object path automatically -- their next draw may depend on
-the previous decision, which an up-front array order cannot represent.  Both
-engines produce bit-identical schedules: the same comparisons, in the same
-order (including order under weight ties), hence the same matches and the
-same progressive recall curve.
+and subclasses of the native types fall back to the object path
+automatically -- their next draw may depend on the previous decision, which
+an up-front array order cannot represent.  Both engines produce
+bit-identical schedules: the same comparisons, in the same order (including
+order under weight ties), hence the same matches and the same progressive
+recall curve.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.blocking.base import BlockCollection
 from repro.blocking.sorted_neighborhood import sorted_order
@@ -64,6 +75,7 @@ from repro.datamodel.pairs import (
     OrdinalInterner,
     pair_code,
 )
+from repro.progressive.hierarchy import PartitionHierarchyScheduler
 from repro.progressive.psnm import ProgressiveBlockScheduler
 from repro.progressive.schedulers import (
     CandidateSource,
@@ -136,6 +148,95 @@ def _columns_from_blocks(blocks: BlockCollection) -> ComparisonColumns:
     return ComparisonColumns(intern.ids, first, second, None, distinct=True)
 
 
+def _left_flags(data: ERInput, identifiers: Sequence[str]) -> Optional[List[bool]]:
+    """Per-ordinal clean--clean side flags (``True`` = left), ``None`` if dirty.
+
+    Every identifier must belong to ``data``; a pair of ordinals is then a
+    valid clean--clean comparison exactly when their flags differ, the
+    per-pair :meth:`CleanCleanTask.is_valid_pair` test without its two
+    membership lookups.
+    """
+    if not isinstance(data, CleanCleanTask):
+        return None
+    left = data.left
+    return [identifier in left for identifier in identifiers]
+
+
+def _expand(
+    sources: np.ndarray, starts: np.ndarray, counts: np.ndarray, partners: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows ``(sources[e], partners[starts[e] + t])`` for every ``t < counts[e]``."""
+    offsets = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return np.repeat(sources, counts), partners[np.repeat(starts, counts) + offsets]
+
+
+def _block_ordinals(
+    blocks: BlockCollection, ordinal: Dict[str, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every comparison of ``blocks`` as two ordinal columns (``-1``: not in the table).
+
+    Within-block pairs of dirty blocks and left x right pairs of bilateral
+    blocks, expanded without a per-pair Python step; duplicates across
+    blocks are kept (callers deduplicate).
+    """
+    members: List[int] = []
+    sizes: List[int] = []
+    left: List[int] = []
+    right: List[int] = []
+    left_sizes: List[int] = []
+    right_sizes: List[int] = []
+    get = ordinal.get
+    for block in blocks:
+        if block.is_bilateral:
+            left.extend([get(identifier, -1) for identifier in block.left_members])
+            right.extend([get(identifier, -1) for identifier in block.right_members])
+            left_sizes.append(len(block.left_members))
+            right_sizes.append(len(block.right_members))
+        else:
+            members.extend([get(identifier, -1) for identifier in block.members])
+            sizes.append(len(block.members))
+
+    # dirty: member i of a size-m block pairs with the m - 1 - i members after it
+    dirty = np.array(members, dtype=np.int64)
+    size = np.array(sizes, dtype=np.int64)
+    position = np.arange(len(dirty), dtype=np.int64)
+    local = position - np.repeat(np.cumsum(size) - size, size)
+    first_d, second_d = _expand(dirty, position + 1, np.repeat(size, size) - 1 - local, dirty)
+
+    # bilateral: every left member pairs with all right members of its block
+    left_size = np.array(left_sizes, dtype=np.int64)
+    right_size = np.array(right_sizes, dtype=np.int64)
+    first_b, second_b = _expand(
+        np.array(left, dtype=np.int64),
+        np.repeat(np.cumsum(right_size) - right_size, left_size),
+        np.repeat(right_size, left_size),
+        np.array(right, dtype=np.int64),
+    )
+    return np.concatenate((first_d, first_b)), np.concatenate((second_d, second_b))
+
+
+def _candidate_ordinals(
+    candidates: CandidateSource, ordinal: Dict[str, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs of block or column candidates as ordinals of another table.
+
+    ``ordinal`` maps identifiers to the caller's table; identifiers missing
+    from it become ``-1``.  Row order and duplicates are not preserved, so
+    only membership tests may rely on the result.
+    """
+    if isinstance(candidates, ComparisonColumns):
+        table = np.array(
+            [ordinal.get(identifier, -1) for identifier in candidates.ids], dtype=np.int64
+        )
+        return (
+            table[np.asarray(candidates.first, dtype=np.int64)],
+            table[np.asarray(candidates.second, dtype=np.int64)],
+        )
+    return _block_ordinals(candidates, ordinal)
+
+
 class SchedulingEngine:
     """Comparison scheduling with an array and an object (oracle) engine.
 
@@ -204,6 +305,8 @@ class SchedulingEngine:
             return not scheduler.promote_on_match and isinstance(
                 candidates, BlockCollection
             )
+        if kind is PartitionHierarchyScheduler:
+            return scheduler.restrict_to_candidates and columnar
         return False
 
     # ------------------------------------------------------------------
@@ -225,6 +328,8 @@ class SchedulingEngine:
             return self._rows_static(scheduler)
         if kind is SortedListScheduler:
             return self._rows_sorted_list(scheduler, data, candidates)
+        if kind is PartitionHierarchyScheduler:
+            return self._rows_partition_hierarchy(scheduler, data, candidates)
         return self._rows_progressive_blocks(candidates)
 
     def schedule(
@@ -300,26 +405,17 @@ class SchedulingEngine:
 
         allowed: Optional[Set[int]] = None
         if scheduler.restrict_to_candidates and candidates is not None:
-            position = {identifier: i for i, identifier in enumerate(identifiers)}
-            allowed = set()
-            if isinstance(candidates, ComparisonColumns):
-                ids = candidates.ids
-                pair_source = (
-                    (ids[f], ids[s])
-                    for f, s in zip(candidates.first, candidates.second)
-                )
-            else:
-                pair_source = (
-                    pair for block in candidates for pair in block.pairs()
-                )
-            for id_a, id_b in pair_source:
-                a = position.get(id_a)
-                b = position.get(id_b)
-                if a is None or b is None:
-                    continue  # never emittable by the window sweep anyway
-                allowed.add(pair_code(a, b))
+            first, second = _candidate_ordinals(
+                candidates, {identifier: i for i, identifier in enumerate(identifiers)}
+            )
+            # ``pair_code``'s packing; a pair naming an identifier outside
+            # the data (ordinal -1) packs to a negative code, which no window
+            # position pair produces
+            allowed = set(
+                ((np.minimum(first, second) << 32) | np.maximum(first, second)).tolist()
+            )
 
-        bilateral = data if isinstance(data, CleanCleanTask) else None
+        side = _left_flags(data, identifiers)
         limit = scheduler.max_distance if scheduler.max_distance is not None else n - 1
 
         def rows() -> Iterator[Row]:
@@ -327,9 +423,7 @@ class SchedulingEngine:
             for distance in range(1, min(limit, n - 1) + 1):
                 for index in range(0, n - distance):
                     partner = index + distance
-                    if bilateral is not None and not bilateral.is_valid_pair(
-                        identifiers[index], identifiers[partner]
-                    ):
+                    if side is not None and side[index] == side[partner]:
                         continue
                     code = pair_code(index, partner)
                     if allowed is not None and code not in allowed:
@@ -340,6 +434,86 @@ class SchedulingEngine:
                     yield index, partner, None
 
         return ScheduledRows(identifiers, rows())
+
+    @staticmethod
+    def _rows_partition_hierarchy(
+        scheduler: PartitionHierarchyScheduler,
+        data: ERInput,
+        candidates: CandidateSource,
+    ) -> ScheduledRows:
+        # the object generator enumerates every pair of every prefix
+        # partition and then filters against the candidates; here each
+        # distinct candidate pair is instead placed at the first (deepest)
+        # level where both sorting-key prefixes agree, and one lexsort on the
+        # generator's key -- (level, partition size, partition prefix, first,
+        # second) -- yields exactly its order
+        descriptions = list(data)
+        ids = [description.identifier for description in descriptions]
+        n = len(ids)
+        keys = [
+            scheduler.sorting_key(description).replace(" ", "")
+            for description in descriptions
+        ]
+        first, second = _candidate_ordinals(
+            candidates, {identifier: i for i, identifier in enumerate(ids)}
+        )
+        present = (first >= 0) & (second >= 0) & (first != second)
+        first = first[present]
+        second = second[present]
+
+        # identifier ranks compare like the strings (object dtype: Python
+        # ``str`` order, trailing NULs included); canonicalise and
+        # deduplicate each pair as one packed rank code
+        by_rank = np.argsort(np.array(ids, dtype=object), kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_rank] = np.arange(n, dtype=np.int64)
+        rank_a = rank[first]
+        rank_b = rank[second]
+        codes = np.unique(
+            np.minimum(rank_a, rank_b) * n + np.maximum(rank_a, rank_b)
+        )
+        low = by_rank[codes // n]
+        high = by_rank[codes % n]
+        side = _left_flags(data, ids)
+        if side is not None:
+            flags = np.array(side, dtype=bool)
+            valid = flags[low] != flags[high]
+            low = low[valid]
+            high = high[valid]
+
+        # an empty key never forms a partition (its code stays -1); the
+        # unique codes of a level follow the sorted-prefix order in which the
+        # generator visits equally sized partitions
+        placed = np.flatnonzero([bool(key) for key in keys])
+        placed_keys = [keys[i] for i in placed]
+        code = np.full(n, -1, dtype=np.int64)
+        pending = np.ones(len(low), dtype=bool)
+        level = np.zeros(len(low), dtype=np.int64)
+        partition = np.zeros(len(low), dtype=np.int64)
+        size = np.zeros(len(low), dtype=np.int64)
+        for depth, prefix_length in enumerate(scheduler._levels()):
+            if not pending.any():
+                break
+            _, code[placed], counts = np.unique(
+                np.array([key[:prefix_length] for key in placed_keys], dtype=object),
+                return_inverse=True,
+                return_counts=True,
+            )
+            code_low = code[low]
+            hit = pending & (code_low >= 0) & (code_low == code[high])
+            level[hit] = depth
+            partition[hit] = code_low[hit]
+            size[hit] = counts[code_low[hit]]
+            pending &= ~hit
+
+        keep = ~pending
+        low = low[keep]
+        high = high[keep]
+        order = np.lexsort(
+            (rank[high], rank[low], partition[keep], size[keep], level[keep])
+        )
+        rows = zip(low[order].tolist(), high[order].tolist(), repeat(None))
+        return ScheduledRows(ids, rows, descriptions)
 
     @staticmethod
     def _rows_progressive_blocks(candidates: BlockCollection) -> ScheduledRows:

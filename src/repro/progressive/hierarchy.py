@@ -14,6 +14,14 @@ prefix of the (normalised, schema-agnostic) sorting key: level 0 groups
 descriptions sharing a prefix of ``max_prefix`` characters, level 1 a prefix
 of ``max_prefix - step`` characters, and so on until the single-character
 prefix of the top level.
+
+:meth:`PartitionHierarchyScheduler.schedule` is the reference
+implementation: it enumerates every pair of every partition, which costs
+O(n^2 / alphabet) at the top level.  With ``restrict_to_candidates`` (the
+default) and block or column candidates, the workflow runs the same order on
+:class:`~repro.progressive.engine.SchedulingEngine`'s array path instead,
+which works from the candidate pairs; ``tests/test_scheduling_engine.py``
+checks the two against each other.
 """
 
 from __future__ import annotations

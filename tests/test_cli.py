@@ -121,6 +121,27 @@ def test_blocking_engine_flag(tmp_path, capsys):
         build_parser().parse_args(["resolve", "x.csv", "--blocking-engine", "bogus"])
 
 
+@pytest.mark.parametrize("flag", ["--scheduler", "--blocking"])
+@pytest.mark.parametrize("command", ["resolve", "link"])
+def test_unknown_scheme_is_a_usage_error(flag, command, capsys):
+    inputs = ["x.csv"] if command == "resolve" else ["x.csv", "y.csv"]
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args([command, *inputs, flag, "bogus"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_scheme_flags_accept_every_workflow_name():
+    parser = build_parser()
+    for name in ("token", "canopy", "minhash_lsh", "standard"):
+        assert parser.parse_args(["resolve", "x.csv", "--blocking", name]).blocking == name
+    for name in ("weight_order", "hierarchy", "cost_benefit", "psnm"):
+        assert parser.parse_args(["link", "x.csv", "y.csv", "--scheduler", name]).scheduler == name
+    # weighting and pruning stay free-form: the workflow looks them up case-insensitively
+    args = parser.parse_args(["resolve", "x.csv", "--weighting", "cbs", "--pruning", "wep"])
+    assert (args.weighting, args.pruning) == ("cbs", "wep")
+
+
 def test_matching_engine_flag(tmp_path, capsys):
     data = tmp_path / "dirty.csv"
     main(["generate", "--entities", "30", "--seed", "7", "--output", str(data)])

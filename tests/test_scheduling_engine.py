@@ -9,12 +9,17 @@ accounting.
 """
 
 import random
+from array import array
 
 import pytest
 
+from repro.blocking.base import Block, BlockCollection
 from repro.blocking.cleaning import BlockFiltering, BlockPurging
 from repro.blocking.engine import BlockingEngine
+from repro.blocking.sorted_neighborhood import sorting_key_from_attributes
 from repro.blocking.token_blocking import TokenBlocking
+from repro.datamodel.collection import CleanCleanTask, EntityCollection
+from repro.datamodel.description import EntityDescription
 from repro.datamodel.pairs import Comparison, ComparisonColumns
 from repro.datasets import (
     DatasetConfig,
@@ -79,6 +84,12 @@ def _schedulers():
         SortedListScheduler(),
         SortedListScheduler(restrict_to_candidates=False, max_distance=7),
         ProgressiveBlockScheduler(promote_on_match=False),
+        PartitionHierarchyScheduler(),
+        PartitionHierarchyScheduler(
+            sorting_key=sorting_key_from_attributes(["surname", "first_name"]),
+            max_prefix=5,
+            step=2,
+        ),
     ]
 
 
@@ -215,8 +226,6 @@ class TestWeightTies:
         rng.shuffle(rows)
         comparisons = [Comparison(a, b, weight=w) for a, b, w in rows]
 
-        from array import array
-
         ids = sorted({x for a, b, _ in rows for x in (a, b)}, key=lambda x: rng.random())
         ordinal = {identifier: o for o, identifier in enumerate(ids)}
         columns = ComparisonColumns(
@@ -240,8 +249,6 @@ class TestWeightTies:
         rng = random.Random(1)
         order = list(range(len(columns)))
         rng.shuffle(order)
-        from array import array
-
         shuffled = ComparisonColumns(
             columns.ids,
             array("q", (columns.first[i] for i in order)),
@@ -285,11 +292,16 @@ class TestFallback:
     def test_feedback_free_non_native_scheduler_falls_back(self):
         data, _ = _dataset("dirty", seed=19)
         candidates = _candidates(data, "columns")
-        scheduler = PartitionHierarchyScheduler()
+        # without the candidate restriction the hierarchy itself defines
+        # the candidates: only the object generator enumerates it
+        scheduler = PartitionHierarchyScheduler(restrict_to_candidates=False)
         engine = SchedulingEngine(scheduler, engine="array")
         assert engine.feedback_free
         assert engine.schedule_rows(data, candidates) is None
         assert engine.last_engine == "object"
+        native = SchedulingEngine(PartitionHierarchyScheduler(), engine="array")
+        assert native.schedule_rows(data, candidates) is not None
+        assert native.last_engine == "array"
 
     def test_subclasses_fall_back(self):
         class TweakedWeightOrder(WeightOrderScheduler):
@@ -327,6 +339,141 @@ class TestFallback:
                 candidates=candidates,
                 scheduling=SchedulingEngine(WeightOrderScheduler(), engine="array"),
             )
+
+
+def _described(identifier, text):
+    return EntityDescription(identifier, {"name": text} if text else None)
+
+
+def _assert_array_identical(scheduler, data, candidates):
+    """The array schedule exists and equals the object generator, pair for pair."""
+    engine = SchedulingEngine(scheduler, engine="array")
+    rows = engine.schedule_rows(data, candidates)
+    assert rows is not None and engine.last_engine == "array"
+    got = [(c.first, c.second, c.weight) for c in rows.comparisons()]
+    expected = [(c.first, c.second, c.weight) for c in scheduler.schedule(data, candidates)]
+    assert got == expected
+    return got
+
+
+def _columns_of(pairs):
+    ids = sorted({identifier for pair in pairs for identifier in pair}, reverse=True)
+    ordinal = {identifier: o for o, identifier in enumerate(ids)}
+    return ComparisonColumns(
+        ids,
+        array("q", (ordinal[min(pair)] for pair in pairs)),
+        array("q", (ordinal[max(pair)] for pair in pairs)),
+    )
+
+
+class TestPartitionHierarchy:
+    """Direct bit-identity cases of the array hierarchy schedule."""
+
+    def test_empty_sorting_keys_never_partition(self):
+        texts = ["", "smith john", "", "smith jon", "!!", "smyth john", "smith john"]
+        data = EntityCollection(
+            _described(f"p{i}", text) for i, text in enumerate(texts)
+        )
+        blocks = BlockCollection([Block("all", members=[f"p{i}" for i in range(len(texts))])])
+        got = _assert_array_identical(PartitionHierarchyScheduler(), data, blocks)
+        assert got and all("p0" not in pair[:2] and "p2" not in pair[:2] for pair in got)
+
+    def test_candidates_outside_the_data_are_dropped(self):
+        data = EntityCollection(
+            _described(f"p{i}", f"anna {i % 3}") for i in range(6)
+        )
+        blocks = BlockCollection(
+            [
+                Block("a", members=["p0", "ghost", "p3", "p1"]),
+                Block("b", members=["p2", "p5", "phantom"]),
+            ]
+        )
+        pairs = [("p0", "ghost"), ("p1", "p4"), ("phantom", "p2"), ("p2", "p5")]
+        for scheduler in (PartitionHierarchyScheduler(), SortedListScheduler()):
+            _assert_array_identical(scheduler, data, blocks)
+            got = _assert_array_identical(scheduler, data, _columns_of(pairs))
+            assert sorted(pair[:2] for pair in got) == [("p1", "p4"), ("p2", "p5")]
+
+    def test_equal_partition_sizes_order_by_prefix(self):
+        # three two-member partitions whose prefix order is the reverse of
+        # their identifier order, plus one larger partition
+        texts = {
+            "a1": "zulu", "a2": "zulu", "b1": "mike", "b2": "mike",
+            "c1": "alfa", "c2": "alfa", "d1": "bravo", "d2": "bravo", "d3": "bravo",
+        }
+        data = EntityCollection(_described(i, t) for i, t in texts.items())
+        blocks = BlockCollection([Block("all", members=list(texts))])
+        got = _assert_array_identical(PartitionHierarchyScheduler(), data, blocks)
+        assert [pair[:2] for pair in got[:3]] == [("c1", "c2"), ("b1", "b2"), ("a1", "a2")]
+
+    def test_prefixes_keep_python_string_order(self):
+        # a trailing NUL distinguishes two prefixes only under str semantics
+        data = EntityCollection(
+            EntityDescription(i, {"k": k})
+            for i, k in [("x1", "a"), ("x2", "a\x00"), ("x3", "a\x00"), ("x4", "a")]
+        )
+        scheduler = PartitionHierarchyScheduler(
+            sorting_key=lambda description: description.value("k"), max_prefix=2, step=1
+        )
+        blocks = BlockCollection([Block("all", members=["x1", "x2", "x3", "x4"])])
+        got = _assert_array_identical(scheduler, data, blocks)
+        assert [pair[:2] for pair in got[:2]] == [("x1", "x4"), ("x2", "x3")]
+
+    def test_keys_differing_only_in_spaces_share_partitions(self):
+        texts = ["jo hn smith", "john smith", "johns mith", "john smyth", "jane doe"]
+        data = EntityCollection(
+            _described(f"p{i}", text) for i, text in enumerate(texts)
+        )
+        blocks = BlockCollection([Block("all", members=[f"p{i}" for i in range(len(texts))])])
+        got = _assert_array_identical(PartitionHierarchyScheduler(), data, blocks)
+        assert [pair[:2] for pair in got[:3]] == [("p0", "p1"), ("p0", "p2"), ("p1", "p2")]
+
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_clean_clean_metablocking_columns(self, seed):
+        data, _ = _dataset("clean_clean", seed=seed)
+        columns = _candidates(data, "columns")
+        assert isinstance(columns, ComparisonColumns)
+        got = _assert_array_identical(PartitionHierarchyScheduler(), data, columns)
+        assert got
+
+    def test_clean_clean_unilateral_and_mixed_blocks(self):
+        left = EntityCollection(_described(f"L{i}", f"maria {i % 2}") for i in range(4))
+        right = EntityCollection(_described(f"R{i}", f"maria {i % 2}") for i in range(4))
+        data = CleanCleanTask(left, right)
+        blocks = BlockCollection(
+            [
+                # a non-bilateral block mixes both sides: only cross pairs count
+                Block("mixed", members=["L0", "L1", "R0", "R1", "L2"]),
+                Block("cross", left_members=["L2", "L3"], right_members=["R2", "R3", "R0"]),
+            ]
+        )
+        got = _assert_array_identical(PartitionHierarchyScheduler(), data, blocks)
+        assert got and all(pair[0][0] != pair[1][0] for pair in got)
+
+    def test_no_emittable_pair(self):
+        data = EntityCollection([_described("p0", "x"), _described("p1", "")])
+        for candidates in (BlockCollection(), _columns_of([("p0", "p1")])):
+            assert _assert_array_identical(
+                PartitionHierarchyScheduler(), data, candidates
+            ) == []
+
+    def test_array_paths_make_no_per_pair_validity_call(self, monkeypatch):
+        data, _ = _dataset("clean_clean", seed=13)
+        blocks = _candidates(data, "blocks")
+        calls = []
+        original = CleanCleanTask.is_valid_pair
+
+        def counting(self, first, second):
+            calls.append(1)
+            return original(self, first, second)
+
+        monkeypatch.setattr(CleanCleanTask, "is_valid_pair", counting)
+        for scheduler in (PartitionHierarchyScheduler(), SortedListScheduler()):
+            rows = SchedulingEngine(scheduler, engine="array").schedule_rows(data, blocks)
+            assert list(rows.rows)
+        assert not calls
+        list(PartitionHierarchyScheduler().schedule(data, blocks))
+        assert calls  # the object generator does call it: the counter works
 
 
 class TestBudgetSlicing:
