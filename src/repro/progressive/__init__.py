@@ -58,10 +58,11 @@ path, whatever engine is configured: their order may depend on match
 feedback or overridden behaviour that an up-front array order cannot
 represent.  The partition hierarchy also stays on the object path when it
 defines the candidates itself (``restrict_to_candidates=False`` or no
-candidates) or receives a plain comparison list.  Both engines produce bit-identical schedules -- the same
-comparisons in the same order (including order under weight ties), hence
-the same matches and the same progressive recall curve -- so swapping them
-never changes a workflow's output, only its speed.
+candidates) or receives a plain comparison list.  Both engines produce
+bit-identical schedules -- the same comparisons in the same order
+(including order under weight ties), hence the same matches and the same
+progressive recall curve -- so swapping them never changes a workflow's
+output, only its speed.
 """
 
 from repro.progressive.budget import Budget
